@@ -3588,8 +3588,8 @@ let serve_cmd =
           ~doc:
             "A peer's sync endpoint; repeatable.  Each peer gets its own \
              dial thread running an anti-entropy round every --interval, \
-             reconnecting with exponential backoff (0.2s doubling, capped \
-             at 5s) when the peer is down")
+             each on a connection of its own, backing off exponentially \
+             (0.2s doubling, capped at 5s) while the peer is down")
   in
   let node_id =
     Arg.(
@@ -3679,4 +3679,6 @@ let () =
   (* the CLI links unix, so spans get a real wall clock instead of the
      dependency-free Sys.time default *)
   Vstamp_obs.Clock.set_source Unix.gettimeofday;
-  exit (Cmd.eval main_cmd)
+  (* a path that cannot be opened (an -o or --port-file in a missing
+     directory, say) is the user's error, reported in one line *)
+  exit (try Cmd.eval ~catch:false main_cmd with Sys_error m -> die "%s" m)

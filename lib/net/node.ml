@@ -4,6 +4,9 @@ module R = Vstamp_obs.Registry
 module M = Vstamp_obs.Metric
 module J = Vstamp_obs.Jsonx
 module Tr = Vstamp_obs.Trace_ctx
+module Tcp = Vstamp_obs.Tcp
+
+let ( let* ) = Result.bind
 
 let initial_backoff_s = 0.2
 
@@ -40,17 +43,17 @@ module Make (B : Backend.S) = struct
 
   type peer_state =
     | Idle  (* not yet dialed *)
-    | Connecting
-    | Connected
-    | Backoff of float  (* current retry delay *)
+    | Connecting  (* a round is on, and the last one did not complete *)
+    | Connected  (* the last round completed *)
+    | Backoff of float  (* the last round failed; the dialer's delay *)
 
   type peer = {
     p_host : string;
     p_port : int;
     mutable p_state : peer_state;
     mutable p_node_id : string option;  (* learned from the handshake *)
-    mutable p_attempts : int;  (* consecutive failed dials *)
-    mutable p_rounds : int;  (* completed rounds on this link *)
+    mutable p_attempts : int;  (* consecutive failed rounds *)
+    mutable p_rounds : int;  (* completed rounds with this peer *)
     mutable p_last_error : string option;
   }
 
@@ -62,14 +65,9 @@ module Make (B : Backend.S) = struct
     m : metrics;
     mutex : Mutex.t;
     mutable store : KV.t;
-    mutable stopping : bool;
-    listen_fd : Unix.file_descr;
-    bound_addr : Unix.sockaddr;
-    bound_port : int;
+    server : Tcp.t;
     peers : peer list;
-    mutable accept_thread : Thread.t option;
     mutable dial_threads : Thread.t list;
-    mutable conn_threads : (int * (Thread.t * Unix.file_descr)) list;
   }
 
   let locked t f =
@@ -110,7 +108,9 @@ module Make (B : Backend.S) = struct
 
   let digest t = locked t (fun () -> content_digest t.store)
 
-  let port t = t.bound_port
+  let port t = Tcp.port t.server
+
+  let running t = Tcp.running t.server
 
   (* --- wire helpers --- *)
 
@@ -121,87 +121,72 @@ module Make (B : Backend.S) = struct
         Ok ()
     | Error e -> Error (Format.asprintf "%a" Frame.pp_error e)
 
+  let proto_fail t m =
+    M.inc t.m.proto_errors;
+    Error m
+
   (* [Ok None] is a clean EOF.  Torn and oversized frames are protocol
      errors; so is a frame that does not decode. *)
   let recv t fd =
     match Frame.read fd with
     | Ok None -> Ok None
-    | Error (Frame.Truncated | Frame.Oversized _) as e ->
-        M.inc t.m.proto_errors;
-        (match e with
-        | Error err -> Error (Format.asprintf "%a" Frame.pp_error err)
-        | Ok _ -> assert false)
     | Error (Frame.Io m) -> Error m
+    | Error e -> proto_fail t (Format.asprintf "%a" Frame.pp_error e)
     | Ok (Some (payload, n)) -> (
         M.add t.m.rx n;
         match Proto.decode payload with
         | Ok msg -> Ok (Some msg)
-        | Error m ->
-            M.inc t.m.proto_errors;
-            Error m)
+        | Error m -> proto_fail t m)
+
+  (* Receive the one message the protocol allows next: [pick] returns
+     its payload, and any other message is a protocol error. *)
+  let expect t fd what pick =
+    match recv t fd with
+    | Ok (Some msg) -> (
+        match pick msg with
+        | Some x -> Ok x
+        | None -> proto_fail t ("expected " ^ what))
+    | Ok None -> Error ("closed before " ^ what)
+    | Error _ as e -> e
 
   let hello t = { Proto.node_id = t.node_id; backend = t.backend; proto = Proto.version }
 
-  let decode_stamp s =
-    match C.stamp_of_string s with
-    | Ok st -> Ok st
-    | Error e -> Error (Format.asprintf "bad stamp: %a" Vstamp_codec.Wire.pp_error e)
+  (* Both ends check the peer's protocol version.  A backend mismatch is
+     fine: the wire codec is canonical, so stamps decode identically
+     whatever shape the peer keeps them in. *)
+  let expect_hello t fd what pick =
+    match expect t fd what pick with
+    | Ok h when h.Proto.proto <> Proto.version ->
+        proto_fail t
+          (Printf.sprintf "protocol version mismatch: theirs %d, ours %d"
+             h.Proto.proto Proto.version)
+    | r -> r
 
-  let decode_frontier fs =
+  (* Offer frontiers and Items/Result deltas are both lists of
+     [(key, stamp, _)]: only the stamp goes through the codec.  A stamp
+     that does not decode is a protocol error. *)
+  let encode_entries es =
+    List.map (fun (key, st, x) -> (key, C.stamp_to_string st, x)) es
+
+  let decode_entries t es =
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | (key, stamp, digest) :: rest -> (
-          match decode_stamp stamp with
-          | Ok st -> go ((key, st, digest) :: acc) rest
-          | Error _ as e -> e)
-    in
-    go [] fs
-
-  let decode_delta es =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (key, stamp, values) :: rest -> (
-          match decode_stamp stamp with
-          | Ok st -> go ((key, st, values) :: acc) rest
-          | Error _ as e -> e)
+      | (key, stamp, x) :: rest -> (
+          match C.stamp_of_string stamp with
+          | Ok st -> go ((key, st, x) :: acc) rest
+          | Error e ->
+              proto_fail t
+                (Format.asprintf "bad stamp: %a" Vstamp_codec.Wire.pp_error e))
     in
     go [] es
-
-  let encode_frontier fs =
-    List.map (fun (key, st, digest) -> (key, C.stamp_to_string st, digest)) fs
-
-  let encode_delta es =
-    List.map (fun (key, st, values) -> (key, C.stamp_to_string st, values)) es
 
   (* --- responder: one thread per accepted connection --- *)
 
   (* A responder session: expect Hello, ack it, then serve Offer/Items
-     pairs until Bye, EOF, idle timeout or an error.  All store
+     pairs until Bye, EOF, idle timeout, stop or an error.  All store
      mutation happens inside one lock-held reconcile, so a session is
      atomic with respect to local puts and other sessions. *)
   let serve_connection t fd =
-    let proto_fail m =
-      M.inc t.m.proto_errors;
-      Error m
-    in
-    let handshake () =
-      match recv t fd with
-      | Ok (Some (Proto.Hello h)) ->
-          if h.Proto.proto <> Proto.version then
-            proto_fail
-              (Printf.sprintf "protocol version mismatch: theirs %d, ours %d"
-                 h.Proto.proto Proto.version)
-          else (
-            (* backend mismatch is fine: the wire codec is canonical,
-               so stamps decode identically whatever shape the peer
-               keeps them in *)
-            match send t fd (Proto.Hello_ack (hello t)) with
-            | Ok () -> Ok ()
-            | Error _ as e -> e)
-      | Ok (Some _) -> proto_fail "expected Hello"
-      | Ok None -> Error "closed before handshake"
-      | Error _ as e -> e
-    in
     let reconcile_round header frontier items =
       let apply () =
         locked t (fun () ->
@@ -223,116 +208,37 @@ module Make (B : Backend.S) = struct
       else apply ()
     in
     let rec session pending_offer =
-      if locked t (fun () -> t.stopping) then Ok ()
+      if not (running t) then Ok ()
       else
-      match recv t fd with
-      | Ok None | Ok (Some Proto.Bye) -> Ok ()
-      | Error _ as e -> e
-      | Ok (Some (Proto.Offer (header, frontier))) -> (
-          match decode_frontier frontier with
-          | Error m -> proto_fail m
-          | Ok frontier -> (
-              let wanted = locked t (fun () -> KV.wants t.store frontier) in
-              match send t fd (Proto.Want wanted) with
-              | Ok () -> session (Some (header, frontier))
-              | Error _ as e -> e))
-      | Ok (Some (Proto.Items items)) -> (
-          match pending_offer with
-          | None -> proto_fail "Items without a preceding Offer"
-          | Some (header, frontier) -> (
-              match decode_delta items with
-              | Error m -> proto_fail m
-              | Ok items -> (
-                  let results = reconcile_round header frontier items in
-                  match send t fd (Proto.Result (encode_delta results)) with
-                  | Ok () -> session None
-                  | Error _ as e -> e)))
-      | Ok (Some (Proto.Hello _ | Proto.Hello_ack _)) ->
-          proto_fail "unexpected handshake mid-session"
-      | Ok (Some (Proto.Want _ | Proto.Result _)) ->
-          proto_fail "unexpected initiator-bound message"
-    in
-    match handshake () with Ok () -> ignore (session None) | Error _ -> ()
-
-  let handle_connection t fd =
-    let finally () =
-      (* deregister before closing: [stop] only shuts down fds it can
-         still see in the table, so it never touches a closed (and
-         possibly recycled) descriptor *)
-      let self = Thread.id (Thread.self ()) in
-      locked t (fun () ->
-          t.conn_threads <- List.remove_assoc self t.conn_threads);
-      try Unix.close fd with Unix.Unix_error _ -> ()
-    in
-    Fun.protect ~finally (fun () ->
-        (* an idle or vanished peer must not pin a responder thread
-           forever *)
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.idle_timeout_s
-         with Unix.Unix_error _ -> ());
-        try serve_connection t fd
-        with Unix.Unix_error _ | Sys_error _ -> ())
-
-  let rec accept_loop t =
-    match Unix.accept t.listen_fd with
-    | fd, _ ->
-        if locked t (fun () -> t.stopping) then (
-          try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          locked t (fun () ->
-              let th = Thread.create (fun () -> handle_connection t fd) () in
-              t.conn_threads <- (Thread.id th, (th, fd)) :: t.conn_threads);
-          accept_loop t
-        end
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-        if not (locked t (fun () -> t.stopping)) then accept_loop t
-    | exception Unix.Unix_error _ -> ()
-
-  (* --- initiator: one dial thread per configured peer --- *)
-
-  let connect_peer t peer =
-    match
-      let inet =
-        match Unix.inet_addr_of_string peer.p_host with
-        | addr -> addr
-        | exception Failure _ -> (
-            match (Unix.gethostbyname peer.p_host).Unix.h_addr_list with
-            | [||] -> failwith (Printf.sprintf "cannot resolve %S" peer.p_host)
-            | addrs -> addrs.(0))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.idle_timeout_s;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.idle_timeout_s;
-         Unix.connect fd (Unix.ADDR_INET (inet, peer.p_port))
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-    with
-    | fd -> Ok fd
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | exception Failure m -> Error m
-    | exception Not_found -> Error (Printf.sprintf "cannot resolve %S" peer.p_host)
-
-  let handshake_peer t peer fd =
-    match send t fd (Proto.Hello (hello t)) with
-    | Error _ as e -> e
-    | Ok () -> (
         match recv t fd with
-        | Ok (Some (Proto.Hello_ack h)) ->
-            if h.Proto.proto <> Proto.version then (
-              M.inc t.m.proto_errors;
-              Error
-                (Printf.sprintf "protocol version mismatch: theirs %d, ours %d"
-                   h.Proto.proto Proto.version))
-            else (
-              peer.p_node_id <- Some h.Proto.node_id;
-              Ok ())
-        | Ok (Some _) ->
-            M.inc t.m.proto_errors;
-            Error "expected Hello_ack"
-        | Ok None -> Error "closed during handshake"
-        | Error _ as e -> e)
+        | Ok None | Ok (Some Proto.Bye) -> Ok ()
+        | Error _ as e -> e
+        | Ok (Some (Proto.Offer (header, frontier))) ->
+            let* frontier = decode_entries t frontier in
+            let wanted = locked t (fun () -> KV.wants t.store frontier) in
+            let* () = send t fd (Proto.Want wanted) in
+            session (Some (header, frontier))
+        | Ok (Some (Proto.Items items)) -> (
+            match pending_offer with
+            | None -> proto_fail t "Items without a preceding Offer"
+            | Some (header, frontier) ->
+                let* items = decode_entries t items in
+                let results = reconcile_round header frontier items in
+                let* () = send t fd (Proto.Result (encode_entries results)) in
+                session None)
+        | Ok (Some (Proto.Hello _ | Proto.Hello_ack _)) ->
+            proto_fail t "unexpected handshake mid-session"
+        | Ok (Some (Proto.Want _ | Proto.Result _)) ->
+            proto_fail t "unexpected initiator-bound message"
+    in
+    ignore
+      (let* _ =
+         expect_hello t fd "Hello" (function Proto.Hello h -> Some h | _ -> None)
+       in
+       let* () = send t fd (Proto.Hello_ack (hello t)) in
+       session None)
+
+  (* --- initiator: one round per connection --- *)
 
   (* One anti-entropy round over an established link.  The apply guard:
      a result entry is only adopted when the local entry is still what
@@ -350,49 +256,29 @@ module Make (B : Backend.S) = struct
       let snapshot, frontier =
         locked t (fun () -> (t.store, KV.offer t.store))
       in
-      match send t fd (Proto.Offer (header, encode_frontier frontier)) with
-      | Error _ as e -> e
-      | Ok () -> (
-          match recv t fd with
-          | Ok (Some (Proto.Want wanted)) -> (
-              let items =
-                locked t (fun () -> KV.fulfil t.store wanted)
-              in
-              match send t fd (Proto.Items (encode_delta items)) with
-              | Error _ as e -> e
-              | Ok () -> (
-                  match recv t fd with
-                  | Ok (Some (Proto.Result results)) -> (
-                      match decode_delta results with
-                      | Error m ->
-                          M.inc t.m.proto_errors;
-                          Error m
-                      | Ok results ->
-                          locked t (fun () ->
-                              let fresh =
-                                List.filter
-                                  (fun (key, _, _) ->
-                                    KV.stamp t.store key
-                                    = KV.stamp snapshot key
-                                    && KV.get t.store key
-                                       = KV.get snapshot key)
-                                  results
-                              in
-                              t.store <- KV.apply t.store fresh;
-                              refresh_store_gauges t);
-                          M.inc t.m.rounds;
-                          peer.p_rounds <- peer.p_rounds + 1;
-                          Ok ())
-                  | Ok (Some _) ->
-                      M.inc t.m.proto_errors;
-                      Error "expected Result"
-                  | Ok None -> Error "closed mid-round"
-                  | Error _ as e -> e))
-          | Ok (Some _) ->
-              M.inc t.m.proto_errors;
-              Error "expected Want"
-          | Ok None -> Error "closed mid-round"
-          | Error _ as e -> e)
+      let* () = send t fd (Proto.Offer (header, encode_entries frontier)) in
+      let* wanted =
+        expect t fd "Want" (function Proto.Want w -> Some w | _ -> None)
+      in
+      let items = locked t (fun () -> KV.fulfil t.store wanted) in
+      let* () = send t fd (Proto.Items (encode_entries items)) in
+      let* results =
+        expect t fd "Result" (function Proto.Result r -> Some r | _ -> None)
+      in
+      let* results = decode_entries t results in
+      locked t (fun () ->
+          let fresh =
+            List.filter
+              (fun (key, _, _) ->
+                KV.stamp t.store key = KV.stamp snapshot key
+                && KV.get t.store key = KV.get snapshot key)
+              results
+          in
+          t.store <- KV.apply t.store fresh;
+          refresh_store_gauges t);
+      M.inc t.m.rounds;
+      peer.p_rounds <- peer.p_rounds + 1;
+      Ok ()
     in
     if Tr.attached () then
       Tr.with_span "net.session"
@@ -403,90 +289,76 @@ module Make (B : Backend.S) = struct
         run
     else run ()
 
+  let backoff_delay attempts =
+    Float.min max_backoff_s
+      (initial_backoff_s *. (2. ** float_of_int (attempts - 1)))
+
+  (* The one initiator path, shared by the periodic dialers and
+     [sync_now]: connect, handshake, one round, Bye, close.  The outcome
+     is recorded on the peer for [/peers.json]: [connected] means the
+     last round completed, and each failed round in a row adds an
+     attempt and doubles the backoff. *)
+  let round_with t peer =
+    if peer.p_state <> Connected then peer.p_state <- Connecting;
+    let outcome =
+      let* fd =
+        Tcp.connect ~host:peer.p_host ~port:peer.p_port
+          ~timeout_s:t.idle_timeout_s
+      in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let* () = send t fd (Proto.Hello (hello t)) in
+          let* h =
+            expect_hello t fd "Hello_ack" (function
+              | Proto.Hello_ack h -> Some h
+              | _ -> None)
+          in
+          peer.p_node_id <- Some h.Proto.node_id;
+          let* () = do_round t peer fd in
+          let (_ : (unit, string) result) = send t fd Proto.Bye in
+          Ok ())
+    in
+    (match outcome with
+    | Ok () ->
+        peer.p_state <- Connected;
+        peer.p_attempts <- 0;
+        peer.p_last_error <- None
+    | Error m ->
+        peer.p_attempts <- peer.p_attempts + 1;
+        peer.p_state <- Backoff (backoff_delay peer.p_attempts);
+        peer.p_last_error <- Some m);
+    refresh_peer_gauge t;
+    outcome
+
   (* Interruptible sleep: wake early when the node is stopping. *)
   let snooze t seconds =
     let rec go left =
-      if left > 0. && not (locked t (fun () -> t.stopping)) then begin
+      if left > 0. && running t then begin
         Thread.delay (Float.min 0.05 left);
         go (left -. 0.05)
       end
     in
     go seconds
 
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+  (* A periodic dialer: a round every [interval_s], or after the backoff
+     delay when the last round failed. *)
+  let dialer t peer =
+    while running t do
+      match round_with t peer with
+      | Ok () -> snooze t t.interval_s
+      | Error _ ->
+          M.inc t.m.reconnects;
+          snooze t (backoff_delay peer.p_attempts)
+    done
 
-  let rec dial_loop t peer ~delay =
-    if not (locked t (fun () -> t.stopping)) then begin
-      peer.p_state <- Connecting;
-      match connect_peer t peer with
-      | Error m -> back_off t peer ~delay m
-      | Ok fd -> (
-          match handshake_peer t peer fd with
-          | Error m ->
-              close_quietly fd;
-              back_off t peer ~delay m
-          | Ok () ->
-              peer.p_state <- Connected;
-              peer.p_attempts <- 0;
-              peer.p_last_error <- None;
-              refresh_peer_gauge t;
-              rounds_loop t peer fd)
-    end
-
-  and back_off t peer ~delay reason =
-    peer.p_attempts <- peer.p_attempts + 1;
-    peer.p_last_error <- Some reason;
-    peer.p_state <- Backoff delay;
-    refresh_peer_gauge t;
-    M.inc t.m.reconnects;
-    snooze t delay;
-    dial_loop t peer ~delay:(Float.min max_backoff_s (delay *. 2.))
-
-  and rounds_loop t peer fd =
-    if locked t (fun () -> t.stopping) then begin
-      let (_ : (unit, string) result) = send t fd Proto.Bye in
-      close_quietly fd;
-      peer.p_state <- Idle;
-      refresh_peer_gauge t
-    end
-    else
-      match do_round t peer fd with
-      | Ok () ->
-          snooze t t.interval_s;
-          rounds_loop t peer fd
-      | Error m ->
-          close_quietly fd;
-          back_off t peer ~delay:initial_backoff_s m
-
-  (* A one-shot synchronous round against every peer, over dedicated
-     connections: deterministic anti-entropy for benches, smoke tests
-     and the soak driver (the periodic dial threads keep their own
-     cadence).  Returns how many peers completed a round. *)
+  (* A one-shot synchronous round against every peer: deterministic
+     anti-entropy for benches, smoke tests and the soak driver.  It
+     works on a stopped node too.  Returns how many peers completed a
+     round. *)
   let sync_now t =
     List.fold_left
-      (fun ok peer ->
-        match connect_peer t peer with
-        | Error m ->
-            peer.p_last_error <- Some m;
-            ok
-        | Ok fd ->
-            Fun.protect
-              ~finally:(fun () -> close_quietly fd)
-              (fun () ->
-                match handshake_peer t peer fd with
-                | Error m ->
-                    peer.p_last_error <- Some m;
-                    ok
-                | Ok () -> (
-                    match do_round t peer fd with
-                    | Ok () ->
-                        let (_ : (unit, string) result) =
-                          send t fd Proto.Bye
-                        in
-                        ok + 1
-                    | Error m ->
-                        peer.p_last_error <- Some m;
-                        ok)))
+      (fun ok peer -> if Result.is_ok (round_with t peer) then ok + 1 else ok)
       0 t.peers
 
   (* --- the /peers.json snapshot --- *)
@@ -524,7 +396,7 @@ module Make (B : Backend.S) = struct
         ("node_id", J.String t.node_id);
         ("backend", J.String t.backend);
         ("protocol", J.String Proto.magic);
-        ("port", J.Int t.bound_port);
+        ("port", J.Int (port t));
         ("store_keys", J.Int (List.length (keys t)));
         ("store_digest", J.Int (digest t));
         ("peers", J.List (List.map peer_json t.peers));
@@ -533,23 +405,8 @@ module Make (B : Backend.S) = struct
   (* --- lifecycle --- *)
 
   let create ?(registry = R.default) ?(interval_s = 1.0)
-      ?(idle_timeout_s = 60.0) ?(addr = "127.0.0.1") ~node_id ~backend ~port
-      ~peers () =
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ());
-    let inet = Unix.inet_addr_of_string addr in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (inet, port));
-       Unix.listen fd 64
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    let bound_addr = Unix.getsockname fd in
-    let bound_port =
-      match bound_addr with Unix.ADDR_INET (_, p) -> p | _ -> port
-    in
+      ?(idle_timeout_s = 60.0) ?addr ~node_id ~backend ~port ~peers () =
+    let server = Tcp.listen ?addr ~port () in
     let peers =
       List.map
         (fun (host, port) ->
@@ -573,62 +430,24 @@ module Make (B : Backend.S) = struct
         m = metrics registry;
         mutex = Mutex.create ();
         store = KV.empty;
-        stopping = false;
-        listen_fd = fd;
-        bound_addr;
-        bound_port;
+        server;
         peers;
-        accept_thread = None;
         dial_threads = [];
-        conn_threads = [];
       }
     in
     refresh_store_gauges t;
     refresh_peer_gauge t;
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+    Tcp.start server ~timeout_s:idle_timeout_s (serve_connection t);
     t
 
   (* Start the periodic dial threads (separate from [create] so a node
      can be driven purely by [sync_now]). *)
   let start_dialers t =
     t.dial_threads <-
-      List.map
-        (fun peer ->
-          Thread.create
-            (fun () -> dial_loop t peer ~delay:initial_backoff_s)
-            ())
-        t.peers
+      List.map (fun peer -> Thread.create (dialer t) peer) t.peers
 
+  (* The dialers finish their round and are joined before the responders
+     are shut down, as the shared stop sequence runs [release] first. *)
   let stop t =
-    let already =
-      locked t (fun () ->
-          let s = t.stopping in
-          t.stopping <- true;
-          s)
-    in
-    if not already then begin
-      (* wake the accept loop with a throwaway connection to ourselves *)
-      (try
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try Unix.connect fd t.bound_addr with Unix.Unix_error _ -> ());
-         (try Unix.close fd with Unix.Unix_error _ -> ())
-       with Unix.Unix_error _ -> ());
-      (match t.accept_thread with Some th -> Thread.join th | None -> ());
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      List.iter Thread.join t.dial_threads;
-      (* a responder blocked in a read (or fed by a peer that keeps the
-         session busy) must not pin the join: shutting the socket down
-         fails its next recv immediately.  Done under the lock, so only
-         live, not-yet-closed descriptors are touched. *)
-      let threads =
-        locked t (fun () ->
-            List.map
-              (fun (_, (th, fd)) ->
-                (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-                 with Unix.Unix_error _ -> ());
-                th)
-              t.conn_threads)
-      in
-      List.iter Thread.join threads
-    end
+    Tcp.stop t.server ~release:(fun () -> List.iter Thread.join t.dial_threads)
 end

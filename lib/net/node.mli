@@ -1,13 +1,18 @@
 (** A networked [vstamp] node: a {!Vstamp_kvs.Stamped_kv} replica served
     over the [vstamp-sync/1] framed protocol on loopback/LAN TCP.
 
-    One node owns one store, one listening socket with a responder
-    thread per accepted connection, and (optionally) one dial thread
-    per configured peer running periodic anti-entropy rounds with
-    exponential reconnect backoff.  A round is the engine session split
-    across the wire — Offer (frontier) → Want → Items → Result — so a
-    pair of nodes converges to stores byte-identical to an in-process
-    [Stamped_kv.sync].
+    One node owns one store, one {!Vstamp_obs.Tcp} server with a
+    responder thread per accepted connection (at most
+    {!Vstamp_obs.Tcp.max_connections} at once), and (optionally) one
+    dial thread per configured peer running periodic anti-entropy
+    rounds with exponential backoff.  A round is the engine session
+    split across the wire — Offer (frontier) → Want → Items → Result —
+    so a pair of nodes converges to stores byte-identical to an
+    in-process [Stamped_kv.sync].
+
+    The dialers and {!sync_now} share one initiator path: each round
+    opens its own connection (connect, Hello, the round, Bye, close).
+    A responder still serves any number of rounds on one connection.
 
     Metric families bound into the node's registry: [net_rounds_total],
     [net_tx_bytes_total], [net_rx_bytes_total],
@@ -16,10 +21,11 @@
     the [net_sync_*] delta-ledger family ({!Vstamp_sync.Ledger}). *)
 
 val initial_backoff_s : float
-(** First reconnect delay: [0.2]s, doubling per failure. *)
+(** Dialer delay after a failed round: [0.2]s, doubling per failure in
+    a row. *)
 
 val max_backoff_s : float
-(** Reconnect delay cap: [5.0]s. *)
+(** Dialer delay cap: [5.0]s. *)
 
 module Make (B : Vstamp_core.Backend.S) : sig
   module KV : module type of Vstamp_kvs.Stamped_kv.Make (B.Stamp)
@@ -40,22 +46,24 @@ module Make (B : Vstamp_core.Backend.S) : sig
   (** Bind and listen on [addr:port] ([port = 0] picks an ephemeral
       port — see {!port}) and start the accept thread.  [interval_s]
       (default 1s) spaces the periodic rounds of {!start_dialers};
-      [idle_timeout_s] (default 60s) bounds how long a blocked read may
-      pin a connection thread.  [backend] is the stamp-backend key
+      [idle_timeout_s] (default 60s) is the send and receive timeout of
+      every connection, served or dialed.  [backend] is the stamp-backend key
       advertised in the handshake (informational: the wire encoding is
       canonical across backends).
       @raise Unix.Unix_error when the bind fails. *)
 
   val start_dialers : t -> unit
-  (** Launch one periodic anti-entropy thread per configured peer
-      (connect → handshake → a round every [interval_s]; on failure,
-      reconnect with exponential backoff).  Separate from {!create} so
-      a node can instead be driven deterministically by {!sync_now}. *)
+  (** Launch one periodic anti-entropy thread per configured peer: a
+      round every [interval_s], each on a connection of its own; after
+      a failed round, the next comes after the backoff delay instead.
+      Separate from {!create} so a node can instead be driven
+      deterministically by {!sync_now}. *)
 
   val sync_now : t -> int
-  (** One synchronous anti-entropy round against every configured peer
-      over a dedicated connection; returns how many peers completed the
-      round.  Usable with or without {!start_dialers}. *)
+  (** One synchronous anti-entropy round against every configured peer,
+      each over its own connection, the same round a dialer runs;
+      returns how many peers completed the round.  Usable with or
+      without {!start_dialers}, and after {!stop}. *)
 
   val port : t -> int
   (** The port actually bound (resolves [port = 0]). *)
@@ -75,9 +83,11 @@ module Make (B : Vstamp_core.Backend.S) : sig
   val peers_json : t -> Vstamp_obs.Jsonx.t
   (** The [/peers.json] snapshot: node identity, bound port, store
       summary, and per-peer [state]/[attempts]/[rounds]/[backoff_s]/
-      [last_error]. *)
+      [last_error].  [state] is [connected] when the last round with
+      the peer completed; [attempts] counts failed rounds in a row. *)
 
   val stop : t -> unit
-  (** Stop accepting, join the accept/dial/connection threads, close
-      the listening socket.  Idempotent. *)
+  (** {!Vstamp_obs.Tcp.stop}: stop accepting, close the listening
+      socket, join the dialers, then end every responder's read and
+      join its thread.  Idempotent. *)
 end

@@ -1,7 +1,7 @@
 (* A deliberately small HTTP/1.1 server: GET only, Connection: close,
-   one thread per connection.  The hot paths of the embedding process
-   never block on a scrape — handlers only read registry snapshots and
-   a guarded event ring. *)
+   one thread per connection on a [Tcp] server.  The hot paths of the
+   embedding process never block on a scrape — handlers only read
+   registry snapshots and a guarded event ring. *)
 
 type subscriber = {
   sub_mutex : Mutex.t;
@@ -12,6 +12,12 @@ type subscriber = {
 
 let sub_queue_cap = 1024
 
+let close_subscriber sub =
+  Mutex.lock sub.sub_mutex;
+  sub.sub_closed <- true;
+  Condition.broadcast sub.sub_cond;
+  Mutex.unlock sub.sub_mutex
+
 type t = {
   registry : Registry.t;
   health : unit -> (string * Jsonx.t) list;
@@ -19,20 +25,15 @@ type t = {
   alerts : Alert.t option;
   cluster : (unit -> Jsonx.t) option;
   peers : (unit -> Jsonx.t) option;
-  listen_fd : Unix.file_descr;
-  bound_addr : Unix.sockaddr;
-  bound_port : int;
+  server : Tcp.t;
   started_s : float;
   recent_cap : int;
   mutex : Mutex.t;
   (* everything below is guarded by [mutex] *)
   recent : Event.t Queue.t;
   mutable subscribers : subscriber list;
-  mutable conn_threads : (int * Thread.t) list;
   mutable events_n : int;
   mutable requests_n : int;
-  mutable stopping : bool;
-  mutable accept_thread : Thread.t option;
 }
 
 let locked t f =
@@ -215,6 +216,9 @@ let handle_events_stream t fd =
       t.subscribers <- sub :: t.subscribers;
       List.of_seq (Queue.to_seq t.recent))
   in
+  (* a subscriber that arrives after [stop] released the others must
+     not wait for events that will never come *)
+  if not (Tcp.running t.server) then close_subscriber sub;
   let unsubscribe () =
     locked t (fun () ->
         t.subscribers <- List.filter (fun s -> s != sub) t.subscribers)
@@ -402,55 +406,9 @@ let publish t e =
       Mutex.unlock sub.sub_mutex)
     subs
 
-let handle_connection t fd =
-  let finally () =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    let self = Thread.id (Thread.self ()) in
-    locked t (fun () ->
-        t.conn_threads <- List.remove_assoc self t.conn_threads)
-  in
-  Fun.protect ~finally (fun () ->
-      (* Never let a hostile or vanished client hang a handler thread
-         forever; streaming writes fail with EPIPE once the client is
-         gone, which the catch-all below treats as a normal hangup. *)
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0
-       with Unix.Unix_error _ -> ());
-      try handle_request t fd
-      with Unix.Unix_error _ | Sys_error _ -> ())
-
-let rec accept_loop t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      if locked t (fun () -> t.stopping) then (
-        (try Unix.close fd with Unix.Unix_error _ -> ()))
-      else begin
-        locked t (fun () ->
-            let th = Thread.create (fun () -> handle_connection t fd) () in
-            t.conn_threads <- (Thread.id th, th) :: t.conn_threads);
-        accept_loop t
-      end
-  | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-      if not (locked t (fun () -> t.stopping)) then accept_loop t
-  | exception Unix.Unix_error _ -> ()
-
 let create ?(registry = Registry.default) ?(health = fun () -> []) ?tsdb
-    ?alerts ?cluster ?peers ?(recent = 64) ?(addr = "127.0.0.1") ~port () =
-  (* a client hanging up mid-response must not kill the process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let inet = Unix.inet_addr_of_string addr in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (inet, port));
-     Unix.listen fd 64
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_addr = Unix.getsockname fd in
-  let bound_port =
-    match bound_addr with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
+    ?alerts ?cluster ?peers ?(recent = 64) ?addr ~port () =
+  let server = Tcp.listen ?addr ~port () in
   let t =
     {
       registry;
@@ -459,61 +417,33 @@ let create ?(registry = Registry.default) ?(health = fun () -> []) ?tsdb
       alerts;
       cluster;
       peers;
-      listen_fd = fd;
-      bound_addr;
-      bound_port;
+      server;
       started_s = Clock.now_s ();
       recent_cap = max 1 recent;
       mutex = Mutex.create ();
       recent = Queue.create ();
       subscribers = [];
-      conn_threads = [];
       events_n = 0;
       requests_n = 0;
-      stopping = false;
-      accept_thread = None;
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  (* a client must not pin a handler thread forever *)
+  Tcp.start server ~timeout_s:10.0 (handle_request t);
   t
 
-let port t = t.bound_port
+let port t = Tcp.port t.server
 
 let event_sink t = Sink.of_fn (fun e -> publish t e)
 
 let requests t = locked t (fun () -> t.requests_n)
 
-let running t = not (locked t (fun () -> t.stopping))
+let running t = Tcp.running t.server
 
+(* The release step of the stop: streaming clients get their
+   terminating chunk, while in-flight responses simply finish. *)
 let stop t =
-  let already = locked t (fun () ->
-      let s = t.stopping in
-      t.stopping <- true;
-      s)
-  in
-  if not already then begin
-    (* wake the accept loop with a throwaway connection to ourselves *)
-    (try
-       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.connect fd t.bound_addr
-        with Unix.Unix_error _ -> ());
-       (try Unix.close fd with Unix.Unix_error _ -> ())
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* release the streaming clients, then wait for every handler *)
-    let subs, threads =
-      locked t (fun () -> (t.subscribers, List.map snd t.conn_threads))
-    in
-    List.iter
-      (fun sub ->
-        Mutex.lock sub.sub_mutex;
-        sub.sub_closed <- true;
-        Condition.broadcast sub.sub_cond;
-        Mutex.unlock sub.sub_mutex)
-      subs;
-    List.iter Thread.join threads
-  end
+  Tcp.stop t.server ~release:(fun () ->
+      List.iter close_subscriber (locked t (fun () -> t.subscribers)))
 
 (* --- client --- *)
 
@@ -551,19 +481,6 @@ module Client = struct
     in
     go 0
 
-  (* [Unix.inet_addr_of_string] raises [Failure] on anything that is
-     not a literal address ("localhost" included), so fall back to a
-     resolver lookup and keep the whole thing in the [result]. *)
-  let resolve host =
-    match Unix.inet_addr_of_string host with
-    | addr -> Ok addr
-    | exception Failure _ -> (
-        match (Unix.gethostbyname host).Unix.h_addr_list with
-        | [||] -> Error (Printf.sprintf "cannot resolve host %S" host)
-        | addrs -> Ok addrs.(0)
-        | exception Not_found ->
-            Error (Printf.sprintf "cannot resolve host %S" host))
-
   (* header names lowercased; values trimmed *)
   let parse_headers head =
     match String.split_on_char '\n' head with
@@ -584,22 +501,13 @@ module Client = struct
 
   let request ?(host = "127.0.0.1") ?(timeout_s = 5.0) ?(meth = "GET") ~port
       path =
-    (* a server vanishing mid-request must surface as an [Error], not
-       kill the client with an unhandled SIGPIPE; the socket timeouts
-       keep a stalled endpoint from hanging the caller forever *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ());
-    match resolve host with
+    match Tcp.connect ~host ~port ~timeout_s with
     | Error m -> Error m
-    | Ok inet -> (
+    | Ok fd -> (
     match
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
-          Unix.connect fd (Unix.ADDR_INET (inet, port));
           write_all fd
             (Printf.sprintf
                "%s %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"

@@ -48,10 +48,14 @@
     corresponding [GET] would send and no body; any other method gets
     [405 Method Not Allowed] with an [Allow: GET, HEAD] header.
 
-    Each connection is served by its own thread, so concurrent scrapes
-    do not block one another or the embedding process.  {!stop} is
-    graceful: in-flight responses finish, streaming clients get a
-    terminating chunk, and all threads are joined. *)
+    Each connection is served by its own thread on a {!Tcp} server, so
+    concurrent scrapes do not block one another or the embedding
+    process.  At most {!Tcp.max_connections} are served at once; a
+    connection beyond that is closed unanswered.  A client gets 10 s
+    to send its request and to take each write of the response.
+    {!stop} is graceful and prompt: in-flight responses finish,
+    streaming clients get a terminating chunk, a client still sending
+    its request is cut off, and all threads are joined. *)
 
 type t
 

@@ -6,7 +6,8 @@
 # node and watch a survivor's /peers.json report the reconnect
 # backoff.  Finally, graceful shutdown.  Wired to the @net-smoke dune
 # alias (see the root dune file); not part of @runtest because it runs
-# three real servers for a few seconds.
+# three real servers for a few seconds.  It first checks that an
+# unwritable --port-file is one `error:` line and exit 1.
 set -eu
 
 VSTAMP="$1"
@@ -36,6 +37,16 @@ serve_node() { # serve_node NAME [--peer ...]
     --put "owner-$name=$name" "$@" &
   pids="$pids $!"
 }
+
+rc=0
+"$VSTAMP" serve --port 0 --http-port 0 --quiet --duration 1 \
+  --port-file "$tmpdir/missing/ports" 2> "$tmpdir/err" || rc=$?
+if [ "$rc" -ne 1 ] || [ "$(wc -l < "$tmpdir/err")" -ne 1 ] \
+  || ! grep -qx "error: $tmpdir/missing/ports: .*" "$tmpdir/err"; then
+  echo "unwritable --port-file: exit $rc, want 1 and one error line" >&2
+  cat "$tmpdir/err" >&2
+  exit 1
+fi
 
 serve_node n0
 p0=$!

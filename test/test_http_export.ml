@@ -458,6 +458,28 @@ let test_graceful_stop () =
   | Ok (status, _) -> Alcotest.failf "served after stop: %d" status
   | Error _ -> ()
 
+(* A client that sent only half a request head must not hold up [stop]
+   for the handler's receive timeout. *)
+let test_stop_with_half_request () =
+  let registry = Registry.create () in
+  let srv = Http_export.create ~registry ~port:0 () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Http_export.stop srv;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Http_export.port srv));
+      let half = "GET /metrics HTTP/1.1\r\nHost: loc" in
+      ignore (Unix.write_substring fd half 0 (String.length half));
+      (* let the handler block in its read *)
+      Thread.delay 0.2;
+      let t0 = Unix.gettimeofday () in
+      Http_export.stop srv;
+      check_bool "stop returned promptly" true
+        (Unix.gettimeofday () -. t0 < 1.0))
+
 let test_ephemeral_ports_distinct () =
   with_server (fun _ a ->
       with_server (fun _ b ->
@@ -685,6 +707,8 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "graceful stop" `Quick test_graceful_stop;
+          Alcotest.test_case "stop with a half-sent request" `Quick
+            test_stop_with_half_request;
           Alcotest.test_case "ephemeral ports" `Quick
             test_ephemeral_ports_distinct;
         ] );

@@ -298,6 +298,95 @@ let test_stop_responder_under_load () =
           check_bool "stop returned promptly under load" true
             (Unix.gettimeofday () -. t0 < 4.0)))
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let handshake fd =
+  let hello =
+    { Proto.node_id = "idle"; backend = "tree"; proto = Proto.version }
+  in
+  (match Frame.write fd (Proto.encode (Proto.Hello hello)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "write: %a" Frame.pp_error e);
+  match Frame.read fd with
+  | Ok (Some (payload, _)) -> (
+      match Proto.decode payload with
+      | Ok (Proto.Hello_ack _) -> ()
+      | _ -> Alcotest.fail "expected Hello_ack")
+  | _ -> Alcotest.fail "no Hello_ack"
+
+(* A responder blocked in a read must not hold up [stop], whatever the
+   idle timeout: this peer completes the handshake, then idles. *)
+let test_stop_with_idle_session () =
+  let r = Registry.create () in
+  let a =
+    N.create ~registry:r ~idle_timeout_s:30.0 ~node_id:"a" ~backend:"tree"
+      ~port:0 ~peers:[] ()
+  in
+  let fd = connect (N.port a) in
+  Fun.protect
+    ~finally:(fun () ->
+      N.stop a;
+      close_quietly fd)
+    (fun () ->
+      handshake fd;
+      let t0 = Unix.gettimeofday () in
+      N.stop a;
+      check_bool "stop returned promptly" true
+        (Unix.gettimeofday () -. t0 < 1.0))
+
+(* [sync_now] opens its own connection, so a stopped node still
+   completes a round against a live peer. *)
+let test_sync_now_after_stop () =
+  let ra = Registry.create () and rb = Registry.create () in
+  with_node ~registry:ra ~node_id:"a" (fun a ->
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          N.put b ~key:"k" "from-b";
+          N.stop b;
+          check_int "round completed" 1 (N.sync_now b);
+          Alcotest.(check (list string))
+            "a has b's key" [ "from-b" ] (N.get a "k")))
+
+(* A node serves at most [Tcp.max_connections] connections at once: the
+   next one is closed at once, and a held one going away frees a slot
+   for a new round. *)
+let test_connection_cap () =
+  let ra = Registry.create () and rb = Registry.create () in
+  let a =
+    N.create ~registry:ra ~idle_timeout_s:30.0 ~node_id:"a" ~backend:"tree"
+      ~port:0 ~peers:[] ()
+  in
+  let held =
+    ref
+      (List.init Vstamp_obs.Tcp.max_connections (fun _ -> connect (N.port a)))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      N.stop a;
+      List.iter close_quietly !held)
+    (fun () ->
+      let extra = connect (N.port a) in
+      let t0 = Unix.gettimeofday () in
+      let eof =
+        match Unix.read extra (Bytes.create 1) 0 1 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error _ -> false
+      in
+      close_quietly extra;
+      check_bool "over-cap connection reads EOF" true eof;
+      check_bool "closed at once" true (Unix.gettimeofday () -. t0 < 1.0);
+      close_quietly (List.hd !held);
+      held := List.tl !held;
+      N.put a ~key:"k" "v";
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          check_bool "a freed slot serves a round" true
+            (wait_for (fun () -> N.sync_now b = 1));
+          Alcotest.(check (list string)) "b has a's key" [ "v" ] (N.get b "k")))
+
 let () =
   Alcotest.run "net"
     [
@@ -329,5 +418,10 @@ let () =
             test_dialer_recovers_and_syncs;
           Alcotest.test_case "stop responder under load" `Quick
             test_stop_responder_under_load;
+          Alcotest.test_case "stop with an idle session" `Quick
+            test_stop_with_idle_session;
+          Alcotest.test_case "sync_now after stop" `Quick
+            test_sync_now_after_stop;
+          Alcotest.test_case "connection cap" `Quick test_connection_cap;
         ] );
     ]
