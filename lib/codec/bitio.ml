@@ -20,12 +20,28 @@ module Writer = struct
       w.used <- 0
     end
 
+  (* Shift [value]'s low [width] bits into the accumulator and emit
+     every completed byte.  The accumulator keeps fewer than 8 bits, so
+     [width] up to 55 fits beside them in an int. *)
+  let push w value width =
+    let acc = (w.acc lsl width) lor (value land ((1 lsl width) - 1)) in
+    let used = ref (w.used + width) in
+    while !used >= 8 do
+      used := !used - 8;
+      Buffer.add_char w.buf (Char.unsafe_chr ((acc lsr !used) land 0xff))
+    done;
+    w.acc <- acc land ((1 lsl !used) - 1);
+    w.used <- !used;
+    w.total <- w.total + width
+
   let bits w ~value ~width =
     if width < 0 || width > 62 then invalid_arg "Bitio.Writer.bits: width";
     if value < 0 then invalid_arg "Bitio.Writer.bits: negative value";
-    for i = width - 1 downto 0 do
-      bit w ((value lsr i) land 1 = 1)
-    done
+    if width > 55 then begin
+      push w (value lsr 31) (width - 31);
+      push w value 31
+    end
+    else push w value width
 
   (* unsigned varint, 4-bit groups with a continuation bit: small numbers
      (the common case for counters and ids) cost 5 bits *)
@@ -62,11 +78,11 @@ module Reader = struct
   let remaining_bits r = (String.length r.data * 8) - r.pos
 
   let bit r =
-    if r.pos >= String.length r.data * 8 then raise Truncated;
-    let byte = Char.code r.data.[r.pos / 8] in
-    let b = (byte lsr (7 - (r.pos mod 8))) land 1 = 1 in
-    r.pos <- r.pos + 1;
-    b
+    let pos = r.pos in
+    let i = pos lsr 3 in
+    if i >= String.length r.data then raise Truncated;
+    r.pos <- pos + 1;
+    (Char.code (String.unsafe_get r.data i) lsr (7 - (pos land 7))) land 1 = 1
 
   let bits r ~width =
     if width < 0 || width > 62 then invalid_arg "Bitio.Reader.bits: width";
@@ -81,6 +97,8 @@ module Reader = struct
       if shift > 60 then raise Truncated;
       let continues = bit r in
       let group = bits r ~width:4 in
+      (* at shift 60 only 2 bits remain below the sign bit *)
+      if group lsr (62 - shift) <> 0 then raise Truncated;
       let acc = acc lor (group lsl shift) in
       if continues then go (shift + 4) acc else acc
     in

@@ -8,64 +8,54 @@ let pp_error ppf = function
   | Truncated -> Format.pp_print_string ppf "truncated input"
   | Malformed what -> Format.fprintf ppf "malformed input: %s" what
 
-(* Names serialize through a local canonical trie, rebuilt from the
-   member list of whichever backend the functor is applied to:
+(* Names serialize as their canonical trie, {!Name_tree.t}, which each
+   backend hands over through its own view ([Backend.S.to_trie]: the
+   identity for the tree backend, a node-for-node walk for the packed
+   one, the member list for the others):
      1        -> Node, followed by the left then right subtree
      0 0      -> Empty
      0 1      -> Mark
    The trie of an antichain is unique (it is the prefix tree of the
    members with no [Node (Empty, Empty)]), so the encoding is one-to-one
    with antichains regardless of the in-memory representation: two
-   backends holding the same name produce byte-identical output, and the
-   bytes match the historical format (which wrote {!Name_tree}'s
-   structure directly — that structure {e is} this trie). *)
+   backends holding the same name produce byte-identical output.  The
+   bytes must never change, since stored encodings and [vstamp-sync/1]
+   peers depend on them; [test_codec.ml] checks every backend against a
+   reference codec that rebuilds each trie from the member list. *)
 
-type trie = Empty | Mark | Node of trie * trie
+(* Deepest interior node the decoder accepts, so a member is at most
+   [max_depth] bits long.  Without a cap a peer's run of 1 bits recurses
+   once per bit.  Real names are far shallower.  The deepest measured
+   is 65 bits: an 8-leaf star after 9 rounds, in an 88.7 Mbit stamp.
+   The replica-churn scenario peaks at 13 bits in E17's configuration,
+   and at 33 bits over 1000 rounds with up to 64 replicas and churn
+   rate 4. *)
+let max_depth = 1 lsl 16
 
-(* Members must be an antichain; epsilon can then only appear alone. *)
-let rec trie_of_members = function
-  | [] -> Empty
-  | [ s ] when Bits.is_epsilon s -> Mark
-  | members ->
-      let zeros, ones =
-        List.fold_left
-          (fun (zs, os) s ->
-            match Bits.uncons s with
-            | Some (Bits.Zero, rest) -> (rest :: zs, os)
-            | Some (Bits.One, rest) -> (zs, rest :: os)
-            | None -> (zs, os))
-          ([], []) members
-      in
-      Node (trie_of_members (List.rev zeros), trie_of_members (List.rev ones))
+exception Bad of string
 
-let rec members_of_trie path acc = function
-  | Empty -> acc
-  | Mark -> Bits.of_digits (List.rev path) :: acc
-  | Node (l, r) ->
-      let acc = members_of_trie (Bits.Zero :: path) acc l in
-      members_of_trie (Bits.One :: path) acc r
-
-let rec write_trie w = function
-  | Empty ->
-      Bitio.Writer.bit w false;
-      Bitio.Writer.bit w false
-  | Mark ->
-      Bitio.Writer.bit w false;
-      Bitio.Writer.bit w true
-  | Node (l, r) ->
+let rec write_tree w = function
+  | Name_tree.Empty -> Bitio.Writer.bits w ~value:0b00 ~width:2
+  | Name_tree.Mark -> Bitio.Writer.bits w ~value:0b01 ~width:2
+  | Name_tree.Node (l, r) ->
       Bitio.Writer.bit w true;
-      write_trie w l;
-      write_trie w r
+      write_tree w l;
+      write_tree w r
 
-let rec read_trie r =
+(* [depth] counts the interior nodes above the one being read; the cap
+   is checked before recursing further. *)
+let rec read_tree r depth =
   if Bitio.Reader.bit r then begin
-    let l = read_trie r in
-    let right = read_trie r in
-    if l = Empty && right = Empty then failwith "node with two empty children"
-    else Node (l, right)
+    if depth >= max_depth then raise (Bad "name deeper than the depth cap");
+    let l = read_tree r (depth + 1) in
+    let right = read_tree r (depth + 1) in
+    match (l, right) with
+    | Name_tree.Empty, Name_tree.Empty ->
+        raise (Bad "node with two empty children")
+    | _ -> Name_tree.Node (l, right)
   end
-  else if Bitio.Reader.bit r then Mark
-  else Empty
+  else if Bitio.Reader.bit r then Name_tree.Mark
+  else Name_tree.Empty
 
 module type CODEC = sig
   type name
@@ -90,9 +80,9 @@ module Make (B : Backend.S) = struct
 
   type stamp = B.Stamp.t
 
-  let write_name w n = write_trie w (trie_of_members (B.Name.to_list n))
+  let write_name w n = write_tree w (B.to_trie n)
 
-  let read_name r = B.Name.of_list (members_of_trie [] [] (read_trie r))
+  let read_name r = B.of_trie (read_tree r 0)
 
   let name_to_string n =
     let w = Bitio.Writer.create () in
@@ -112,7 +102,7 @@ module Make (B : Backend.S) = struct
     | n when B.Name.well_formed n -> Ok n
     | _ -> Error (Malformed "ill-formed name")
     | exception Bitio.Truncated -> Error Truncated
-    | exception Failure _ -> Error (Malformed "node with two empty children")
+    | exception Bad what -> Error (Malformed what)
 
   let write_stamp w s =
     write_name w (B.Stamp.update_name s);
@@ -141,7 +131,7 @@ module Make (B : Backend.S) = struct
       read_stamp r
     with
     | exception Bitio.Truncated -> Error Truncated
-    | exception Failure _ -> Error (Malformed "node with two empty children")
+    | exception Bad what -> Error (Malformed what)
     | u, i ->
         let s = B.Stamp.make_unchecked ~update:u ~id:i in
         if (not validate) || B.Stamp.well_formed s then begin

@@ -9,16 +9,28 @@
     E7.
 
     The codec is generic in the name backend: {!Make} builds it for any
-    registered {!Vstamp_core.Backend.S}, and because the trie is derived
-    from the {e antichain} (not the in-memory shape), two backends
-    holding the same name produce byte-identical output.  The top-level
-    functions are {!Make} applied to the default tree backend. *)
+    registered {!Vstamp_core.Backend.S} and reads and writes each name
+    through the backend's trie view ({!Vstamp_core.Backend.S.to_trie},
+    {!Vstamp_core.Backend.S.of_trie}), so no name passes through a member
+    list unless its backend keeps one.  The trie is canonical for the
+    {e antichain}, not the in-memory shape, so two backends holding the
+    same name produce byte-identical output, identical to a reference
+    codec that rebuilds every trie from the member list.  The top-level
+    functions are {!Make} applied to the default tree backend.
+
+    Decoders reject a name with a member longer than {!max_depth} bits
+    as [Malformed] as soon as they read the interior node past the cap,
+    so hostile input cannot drive the recursion deeper. *)
 
 type error =
   | Truncated  (** Input ended mid-value. *)
   | Malformed of string  (** Structurally invalid (bad trie or broken I1). *)
 
 val pp_error : Format.formatter -> error -> unit
+
+val max_depth : int
+(** [2^16]: the longest member a decoded name may have, in bits.  Far
+    above real names, whose deepest measured member is 65 bits. *)
 
 (** Output signature of {!Make}. *)
 module type CODEC = sig

@@ -11,6 +11,10 @@ module type S = sig
   module Name : Name_intf.S
 
   module Stamp : Stamp.S with type name = Name.t
+
+  val to_trie : Name.t -> Name_tree.t
+
+  val of_trie : Name_tree.t -> Name.t
 end
 
 type entry = { key : string; doc : string; impl : (module S) }
@@ -36,6 +40,14 @@ let keys () =
 let entries () =
   List.filter_map (fun k -> Hashtbl.find_opt registry k) (keys ())
 
+(* The trie view of a backend that keeps no trie: a round trip through
+   the member list. *)
+module Members_view (N : Name_intf.S) = struct
+  let to_trie n = Name_tree.of_list (N.to_list n)
+
+  let of_trie t = N.of_list (Name_tree.to_list t)
+end
+
 (* --- the in-tree backends --- *)
 
 (* These reuse the existing [Stamp.Over_*] modules rather than applying
@@ -45,16 +57,25 @@ let entries () =
 module Over_tree = struct
   module Name = Name_tree
   module Stamp = Stamp.Over_tree
+
+  let to_trie n = n
+
+  let of_trie n = n
 end
 
 module Over_list = struct
   module Name = Name
   module Stamp = Stamp.Over_list
+  include Members_view (Name)
 end
 
 module Over_packed = struct
   module Name = Name_packed
   module Stamp = Stamp.Over_packed
+
+  let to_trie = Name_packed.to_trie
+
+  let of_trie = Name_packed.of_trie
 end
 
 let default_key = "tree"
@@ -81,4 +102,5 @@ let get key =
 module Of_name (N : Name_intf.S) = struct
   module Name = N
   module Stamp = Stamp.Make (N)
+  include Members_view (N)
 end

@@ -20,6 +20,20 @@ module type S = sig
   module Name : Name_intf.S
 
   module Stamp : Stamp.S with type name = Name.t
+
+  (** {2 The trie view}
+
+      Every name is an antichain, and every antichain has one canonical
+      binary trie, {!Name_tree.t}.  The wire codec reads and writes
+      names through this view.  It is the identity for ["tree"], a
+      node-for-node walk for ["packed"], and a round trip through the
+      member list for ["list"] and for backends built with {!Of_name}. *)
+
+  val to_trie : Name.t -> Name_tree.t
+  (** The canonical trie of a name. *)
+
+  val of_trie : Name_tree.t -> Name.t
+  (** The name of a well-formed trie: [of_trie (to_trie n)] equals [n]. *)
 end
 
 (** {1 Registry} *)
@@ -63,4 +77,5 @@ module Of_name (N : Name_intf.S) :
   S with module Name = N and type Stamp.t = Stamp.Make(N).t
 (** Wrap any name implementation into a backend by applying
     {!Stamp.Make}; pass the result to {!register} to make it reachable
-    from the CLI and smoke tooling. *)
+    from the CLI and smoke tooling.  Its trie view goes through
+    [N.to_list] and [N.of_list]. *)

@@ -297,6 +297,22 @@ let pp ppf n =
 
 let to_string n = Format.asprintf "%a" pp n
 
+(* --- the canonical trie --- *)
+
+(* Both shapes are the canonical trie of the antichain, so the
+   conversion is a node-for-node walk.  [node] re-interns on the way up
+   and maps a [Node (Empty, Empty)] to [empty]. *)
+let rec to_trie n =
+  match n.node with
+  | Empty -> Name_tree.Empty
+  | Mark -> Name_tree.Mark
+  | Node (l, r) -> Name_tree.Node (to_trie l, to_trie r)
+
+let rec of_trie = function
+  | Name_tree.Empty -> empty
+  | Name_tree.Mark -> bottom
+  | Name_tree.Node (l, r) -> node (of_trie l) (of_trie r)
+
 (* --- introspection for tests and diagnostics --- *)
 
 let tag n = n.tag

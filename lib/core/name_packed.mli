@@ -17,6 +17,15 @@
 
 include Name_intf.S
 
+(** {1 The canonical trie} *)
+
+val to_trie : t -> Name_tree.t
+(** The same antichain as a plain {!Name_tree} trie, node for node. *)
+
+val of_trie : Name_tree.t -> t
+(** Intern a plain trie node by node.  Inverse of {!to_trie} on
+    well-formed tries. *)
+
 (** {1 Hash-consing introspection} *)
 
 val tag : t -> int

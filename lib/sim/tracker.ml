@@ -82,8 +82,7 @@ module Stamps_nonreducing = Of_stamp (struct
 
   let reduce = false
 
-  module Name = Name_tree
-  module Stamp = Stamp.Over_tree
+  include Backend.Over_tree
 end)
 
 module Stamps_list = Of_stamp (struct

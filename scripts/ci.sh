@@ -69,6 +69,28 @@ dune build @cluster-smoke --force
 echo "== net smoke (3-node TCP mesh, convergence, reconnect backoff) =="
 dune build @net-smoke --force
 
+echo "== perfbench correctness (BENCHMARK.json workloads, untraced and traced) =="
+# A run fails when an op reads wrong, when its replay's frame or stamp
+# bytes differ from the nodes', or when the traced layers leave more
+# than the gate's share of a round unaccounted.  The last stdout line
+# is the JSON result.
+perfbench_check() {
+  last=$(sh perfbench/run.sh --workload "$1" --seed 1 --seconds "$2" \
+    --trace "$3" | tail -n 1)
+  if printf '%s\n' "$last" | grep -q '"correct": true' &&
+    printf '%s\n' "$last" | grep -Eq '"failed": 0[,}]'; then
+    echo "$1 --trace $3: correct, no failed ops"
+  else
+    echo "error: perfbench $1 --trace $3 failed its checks:" >&2
+    printf '%s\n' "$last" | cut -c1-400 >&2
+    exit 1
+  fi
+}
+for workload in mesh-rewrite pair-bulk; do
+  perfbench_check "$workload" 1 0
+  perfbench_check "$workload" 2 1
+done
+
 echo "== CLI smoke: vstamp metrics =="
 dune exec bin/vstamp_cli.exe -- metrics -t stamps -w churn -n 100 >/dev/null
 dune exec bin/vstamp_cli.exe -- metrics -t stamps -w churn -n 100 --format prom >/dev/null

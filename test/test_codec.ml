@@ -33,6 +33,26 @@ let test_varint_roundtrip () =
   let r = Bitio.Reader.of_string (Bitio.Writer.contents w) in
   List.iter (fun v -> check_int "varint" v (Bitio.Reader.varint r)) values
 
+(* A varint's groups must fit a non-negative int.  An input whose last
+   group overflows into the sign bit once decoded to a negative entry
+   count, and [Wire.vv_of_string] raised from [List.init]. *)
+let test_varint_overflow () =
+  let w = Bitio.Writer.create () in
+  Bitio.Writer.varint w max_int;
+  check_int "max_int round trips" max_int
+    (Bitio.Reader.varint (Bitio.Reader.of_string (Bitio.Writer.contents w)));
+  let w = Bitio.Writer.create () in
+  for _ = 1 to 15 do
+    Bitio.Writer.bits w ~value:0b10000 ~width:5
+  done;
+  Bitio.Writer.bits w ~value:0b00100 ~width:5;
+  Alcotest.check_raises "overflowing group" Bitio.Truncated (fun () ->
+      ignore
+        (Bitio.Reader.varint (Bitio.Reader.of_string (Bitio.Writer.contents w))));
+  match Wire.vv_of_string "\x84\x61\x68\xc2\x70\x84\x61\x5f\xc2\x84" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an overflowing count should not decode"
+
 let test_varint_sizes () =
   check_int "small varint is 5 bits" 5 (Bitio.round_trip_bits 7);
   check_int "16 needs two groups" 10 (Bitio.round_trip_bits 16)
@@ -214,6 +234,165 @@ let test_wire_list_rejects_bad_i1 () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "validation off should accept"
 
+(* --- Wire: the reference codec --- *)
+
+(* The member-list codec the trie view replaced, kept as the reference
+   the fast path must match: every name goes to its member list, a trie
+   is rebuilt from the members and written one bit at a time, and the
+   decoder turns the trie back into members. *)
+module Wire_ref (B : Backend.S) = struct
+  type trie = Empty | Mark | Node of trie * trie
+
+  let rec trie_of_members = function
+    | [] -> Empty
+    | [ s ] when Bits.is_epsilon s -> Mark
+    | members ->
+        let zeros, ones =
+          List.fold_left
+            (fun (zs, os) s ->
+              match Bits.uncons s with
+              | Some (Bits.Zero, rest) -> (rest :: zs, os)
+              | Some (Bits.One, rest) -> (zs, rest :: os)
+              | None -> (zs, os))
+            ([], []) members
+        in
+        Node (trie_of_members (List.rev zeros), trie_of_members (List.rev ones))
+
+  let rec members_of_trie path acc = function
+    | Empty -> acc
+    | Mark -> Bits.of_digits (List.rev path) :: acc
+    | Node (l, r) ->
+        let acc = members_of_trie (Bits.Zero :: path) acc l in
+        members_of_trie (Bits.One :: path) acc r
+
+  let rec write_trie w = function
+    | Empty ->
+        Bitio.Writer.bit w false;
+        Bitio.Writer.bit w false
+    | Mark ->
+        Bitio.Writer.bit w false;
+        Bitio.Writer.bit w true
+    | Node (l, r) ->
+        Bitio.Writer.bit w true;
+        write_trie w l;
+        write_trie w r
+
+  let rec read_trie r =
+    if Bitio.Reader.bit r then begin
+      let l = read_trie r in
+      let right = read_trie r in
+      if l = Empty && right = Empty then failwith "node with two empty children"
+      else Node (l, right)
+    end
+    else if Bitio.Reader.bit r then Mark
+    else Empty
+
+  let write_name w n = write_trie w (trie_of_members (B.Name.to_list n))
+
+  let read_name r = B.Name.of_list (members_of_trie [] [] (read_trie r))
+
+  let name_of_string s =
+    match read_name (Bitio.Reader.of_string s) with
+    | n when B.Name.well_formed n -> Ok n
+    | _ -> Error (Wire.Malformed "ill-formed name")
+    | exception Bitio.Truncated -> Error Wire.Truncated
+    | exception Failure _ ->
+        Error (Wire.Malformed "node with two empty children")
+
+  let write_stamp s =
+    let w = Bitio.Writer.create () in
+    write_name w (B.Stamp.update_name s);
+    write_name w (B.Stamp.id s);
+    w
+
+  let stamp_to_string s = Bitio.Writer.contents (write_stamp s)
+
+  let stamp_bits s = Bitio.Writer.bit_length (write_stamp s)
+
+  let stamp_of_string data =
+    match
+      let r = Bitio.Reader.of_string data in
+      let u = read_name r in
+      (u, read_name r)
+    with
+    | exception Bitio.Truncated -> Error Wire.Truncated
+    | exception Failure _ ->
+        Error (Wire.Malformed "node with two empty children")
+    | u, i ->
+        let s = B.Stamp.make_unchecked ~update:u ~id:i in
+        if B.Stamp.well_formed s then Ok s
+        else Error (Wire.Malformed "update component not dominated by id (I1)")
+end
+
+(* One property pair per registered backend: along random traces run in
+   that backend, the codec writes the reference's bytes and decodes them
+   back to the stamp; on random bytes both decoders give the same
+   result. *)
+let props_match_reference (e : Backend.entry) =
+  let module B = (val e.impl) in
+  let module C = Wire.Make (B) in
+  let module R = Wire_ref (B) in
+  let module Subjects = Execution.Stamp_subject (B.Stamp) in
+  let module Subject = (val Subjects.make ~reduce:true) in
+  let module Run = Execution.Run (Subject) in
+  let same_result equal a b =
+    match (a, b) with
+    | Ok x, Ok y -> equal x y
+    | Error e1, Error e2 -> e1 = e2
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  [
+    QCheck2.Test.make
+      ~name:(e.key ^ ": wire bytes equal the reference along traces")
+      ~count:100 ~print:Vstamp_test_support.Gen.trace_print
+      (Vstamp_test_support.Gen.trace ())
+      (fun ops ->
+        List.for_all
+          (fun s ->
+            let bytes = C.stamp_to_string s in
+            String.equal bytes (R.stamp_to_string s)
+            && C.stamp_bits s = R.stamp_bits s
+            &&
+            match C.stamp_of_string bytes with
+            | Ok s' -> B.Stamp.equal s s'
+            | Error _ -> false)
+          (List.concat (Run.run_steps ops)));
+    QCheck2.Test.make
+      ~name:(e.key ^ ": wire decoders agree with the reference on random bytes")
+      ~count:1000
+      QCheck2.Gen.(map Bytes.unsafe_to_string (bytes_size (int_bound 24)))
+      (fun input ->
+        same_result B.Stamp.equal (C.stamp_of_string input)
+          (R.stamp_of_string input)
+        && same_result B.Name.equal (C.name_of_string input)
+             (R.name_of_string input));
+  ]
+
+(* --- Wire: the decoder's depth cap --- *)
+
+let zeros n = Name_tree.singleton (Bits.of_string (String.make n '0'))
+
+let test_wire_depth_cap () =
+  let at_cap = zeros Wire.max_depth and past_cap = zeros (Wire.max_depth + 1) in
+  (match Wire.name_of_string (Wire.name_to_string at_cap) with
+  | Ok n -> check_bool "a member of max_depth bits decodes" true (Name_tree.equal n at_cap)
+  | Error e -> Alcotest.failf "decode at the cap failed: %a" Wire.pp_error e);
+  (match Wire.name_of_string (Wire.name_to_string past_cap) with
+  | Error (Wire.Malformed _) -> ()
+  | _ -> Alcotest.fail "a member past the cap should be Malformed");
+  let deep = Stamp.make ~update:past_cap ~id:past_cap in
+  match Wire.stamp_of_string (Wire.stamp_to_string deep) with
+  | Error (Wire.Malformed _) -> ()
+  | _ -> Alcotest.fail "a stamp past the cap should be Malformed"
+
+(* A run of 1 bits would descend once per bit; the cap stops it long
+   before the input ends, so this is Malformed, not Truncated. *)
+let test_wire_ones_malformed () =
+  match Wire.stamp_of_string (String.make (1 lsl 20) '\xff') with
+  | Error (Wire.Malformed _) -> ()
+  | Error Wire.Truncated -> Alcotest.fail "expected Malformed, got Truncated"
+  | Ok _ -> Alcotest.fail "expected Malformed"
+
 (* --- Wire: version vectors --- *)
 
 let test_wire_vv_roundtrip () =
@@ -325,6 +504,34 @@ let prop_varint_roundtrip =
       let r = Bitio.Reader.of_string (Bitio.Writer.contents w) in
       Bitio.Reader.varint r = v)
 
+(* [Writer.bits] shifts a whole field into the accumulator; it must
+   write exactly what one [Writer.bit] per bit writes, for every width
+   (including the fields wider than 55 bits it splits in two), and
+   [Reader.bits] must read each field back. *)
+let prop_bits_match_bit_by_bit =
+  let field =
+    QCheck2.Gen.(
+      pair (int_bound 62) (map (fun v -> v land max_int) int))
+  in
+  QCheck2.Test.make ~name:"Writer.bits matches bit-by-bit writes" ~count:500
+    QCheck2.Gen.(list_size (int_bound 20) field)
+    (fun fields ->
+      let fast = Bitio.Writer.create () and slow = Bitio.Writer.create () in
+      List.iter
+        (fun (width, value) ->
+          Bitio.Writer.bits fast ~value ~width;
+          for i = width - 1 downto 0 do
+            Bitio.Writer.bit slow ((value lsr i) land 1 = 1)
+          done)
+        fields;
+      let r = Bitio.Reader.of_string (Bitio.Writer.contents fast) in
+      String.equal (Bitio.Writer.contents fast) (Bitio.Writer.contents slow)
+      && Bitio.Writer.bit_length fast = Bitio.Writer.bit_length slow
+      && List.for_all
+           (fun (width, value) ->
+             Bitio.Reader.bits r ~width = value land ((1 lsl width) - 1))
+           fields)
+
 let () =
   Alcotest.run "codec"
     [
@@ -334,6 +541,7 @@ let () =
           Alcotest.test_case "bits round trip" `Quick test_bits_roundtrip;
           Alcotest.test_case "varint round trip" `Quick test_varint_roundtrip;
           Alcotest.test_case "varint sizes" `Quick test_varint_sizes;
+          Alcotest.test_case "varint overflow" `Quick test_varint_overflow;
           Alcotest.test_case "truncated" `Quick test_truncated;
           Alcotest.test_case "writer validation" `Quick test_writer_validation;
         ] );
@@ -360,6 +568,16 @@ let () =
           Alcotest.test_case "list rejects bad I1" `Quick
             test_wire_list_rejects_bad_i1;
         ] );
+      ( "wire depth",
+        [
+          Alcotest.test_case "member past the cap is malformed" `Quick
+            test_wire_depth_cap;
+          Alcotest.test_case "1 MiB of ones is malformed" `Quick
+            test_wire_ones_malformed;
+        ] );
+      ( "wire vs ref",
+        List.map QCheck_alcotest.to_alcotest
+          (List.concat_map props_match_reference (Backend.entries ())) );
       ( "text",
         [
           Alcotest.test_case "print/parse" `Quick test_text_print_parse;
@@ -375,5 +593,6 @@ let () =
             prop_wire_stamp_roundtrip_traces;
             prop_text_roundtrip;
             prop_varint_roundtrip;
+            prop_bits_match_bit_by_bit;
           ] );
     ]

@@ -218,6 +218,48 @@ let test_garbage_frame_rejected () =
           check_bool "protocol error counted" true
             (counter r "net_protocol_errors_total" >= 1)))
 
+(* A stamp nested past the decoder's depth cap is a protocol error like
+   any other bad stamp: the session ends, and the node goes on serving
+   good peers. *)
+let test_deep_stamp_rejected () =
+  let open Vstamp_core in
+  let ra = Registry.create () and rb = Registry.create () in
+  with_node ~registry:ra ~node_id:"a" (fun a ->
+      N.put a ~key:"k" "v";
+      let deep =
+        let n =
+          Name_tree.singleton
+            (Bits.of_string
+               (String.make (Vstamp_codec.Wire.max_depth + 1) '0'))
+        in
+        Vstamp_codec.Wire.stamp_to_string (Stamp.make ~update:n ~id:n)
+      in
+      let fd = connect (N.port a) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let send msg =
+            match Frame.write fd (Proto.encode msg) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "write: %a" Frame.pp_error e
+          in
+          send
+            (Proto.Hello
+               { Proto.node_id = "deep"; backend = "tree"; proto = Proto.version });
+          (match Frame.read fd with
+          | Ok (Some _) -> ()
+          | _ -> Alcotest.fail "expected Hello_ack");
+          send (Proto.Offer ("", [ ("k2", deep, "") ]));
+          check_int "connection closed, no Want sent" 0 (drain_read fd));
+      check_int "one protocol error" 1 (counter ra "net_protocol_errors_total");
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          check_int "a good peer's round completes" 1 (N.sync_now b);
+          Alcotest.(check (list string)) "b has a's key" [ "v" ] (N.get b "k"));
+      check_int "still one protocol error" 1
+        (counter ra "net_protocol_errors_total"))
+
 let rec wait_for ?(tries = 100) pred =
   if tries = 0 then false
   else if pred () then true
@@ -412,6 +454,8 @@ let () =
             test_handshake_version_rejected;
           Alcotest.test_case "garbage frame rejected" `Quick
             test_garbage_frame_rejected;
+          Alcotest.test_case "stamp past the depth cap rejected" `Quick
+            test_deep_stamp_rejected;
           Alcotest.test_case "backoff on dead peer" `Quick
             test_dialer_backoff_on_dead_peer;
           Alcotest.test_case "dialer syncs periodically" `Quick
