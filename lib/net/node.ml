@@ -8,10 +8,6 @@ module Tcp = Vstamp_obs.Tcp
 
 let ( let* ) = Result.bind
 
-let initial_backoff_s = 0.2
-
-let max_backoff_s = 5.0
-
 module Make (B : Backend.S) = struct
   module KV = Vstamp_kvs.Stamped_kv.Make (B.Stamp)
   module C = Vstamp_codec.Wire.Make (B)
@@ -289,10 +285,6 @@ module Make (B : Backend.S) = struct
         run
     else run ()
 
-  let backoff_delay attempts =
-    Float.min max_backoff_s
-      (initial_backoff_s *. (2. ** float_of_int (attempts - 1)))
-
   (* The one initiator path, shared by the periodic dialers and
      [sync_now]: connect, handshake, one round, Bye, close.  The outcome
      is recorded on the peer for [/peers.json]: [connected] means the
@@ -326,7 +318,7 @@ module Make (B : Backend.S) = struct
         peer.p_last_error <- None
     | Error m ->
         peer.p_attempts <- peer.p_attempts + 1;
-        peer.p_state <- Backoff (backoff_delay peer.p_attempts);
+        peer.p_state <- Backoff (Tcp.backoff_delay peer.p_attempts);
         peer.p_last_error <- Some m);
     refresh_peer_gauge t;
     outcome
@@ -349,7 +341,7 @@ module Make (B : Backend.S) = struct
       | Ok () -> snooze t t.interval_s
       | Error _ ->
           M.inc t.m.reconnects;
-          snooze t (backoff_delay peer.p_attempts)
+          snooze t (Tcp.backoff_delay peer.p_attempts)
     done
 
   (* A one-shot synchronous round against every peer: deterministic

@@ -20,13 +20,6 @@
     [net_peers_connected], [net_store_keys], [net_store_digest], plus
     the [net_sync_*] delta-ledger family ({!Vstamp_sync.Ledger}). *)
 
-val initial_backoff_s : float
-(** Dialer delay after a failed round: [0.2]s, doubling per failure in
-    a row. *)
-
-val max_backoff_s : float
-(** Dialer delay cap: [5.0]s. *)
-
 module Make (B : Vstamp_core.Backend.S) : sig
   module KV : module type of Vstamp_kvs.Stamped_kv.Make (B.Stamp)
 

@@ -141,3 +141,5 @@ let connect ~host ~port ~timeout_s =
   | fd -> Ok fd
   | exception Not_found -> Error (Printf.sprintf "cannot resolve host %S" host)
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+let backoff_delay n = Float.min 5.0 (0.2 *. (2. ** float_of_int (n - 1)))

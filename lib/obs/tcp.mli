@@ -39,3 +39,8 @@ val connect :
   host:string -> port:int -> timeout_s:float -> (Unix.file_descr, string) result
 (** A client socket connected to [host] (a literal address or a name to
     resolve) on [port], with send and receive timeouts of [timeout_s]. *)
+
+val backoff_delay : int -> float
+(** The wait after the [n]th failed connection attempt in a row
+    ([n >= 1]): 0.2 s, doubling per attempt, capped at 5 s.  The one
+    reconnect schedule of the node's dialers and the CLI's [--retry]. *)

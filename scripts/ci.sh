@@ -91,6 +91,28 @@ for workload in mesh-rewrite pair-bulk; do
   perfbench_check "$workload" 2 1
 done
 
+echo "== CLI help (--help=plain of every leaf command) =="
+# cmdliner reports a flag name defined twice in one command only when
+# that command runs, so walk the whole command tree from the group help.
+vstamp() { dune exec bin/vstamp_cli.exe -- "$@"; }
+leaves=0
+check_help() { # check_help [CMD...]: CMD's help, then every command below
+  out=$(vstamp "$@" --help=plain) || {
+    echo "error: vstamp $* --help=plain exited non-zero" >&2
+    exit 1
+  }
+  subs=$(printf '%s\n' "$out" | awk '/^COMMANDS/ { on = 1; next }
+    /^[A-Z]/ { on = 0 } on && /^       [a-z]/ { print $1 }')
+  [ -n "$subs" ] || leaves=$((leaves + 1))
+  for sub in $subs; do check_help "$@" "$sub"; done
+}
+check_help
+if [ "$leaves" -lt 2 ]; then
+  echo "error: found no commands in vstamp --help=plain" >&2
+  exit 1
+fi
+echo "$leaves leaf commands: help ok"
+
 echo "== CLI smoke: vstamp metrics =="
 dune exec bin/vstamp_cli.exe -- metrics -t stamps -w churn -n 100 >/dev/null
 dune exec bin/vstamp_cli.exe -- metrics -t stamps -w churn -n 100 --format prom >/dev/null

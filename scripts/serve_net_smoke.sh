@@ -7,7 +7,8 @@
 # backoff.  Finally, graceful shutdown.  Wired to the @net-smoke dune
 # alias (see the root dune file); not part of @runtest because it runs
 # three real servers for a few seconds.  It first checks that an
-# unwritable --port-file is one `error:` line and exit 1.
+# unwritable --port-file is one `error:` line and exit 1, and that an
+# out-of-range port or a negative timeout is refused before any bind.
 set -eu
 
 VSTAMP="$1"
@@ -47,6 +48,23 @@ if [ "$rc" -ne 1 ] || [ "$(wc -l < "$tmpdir/err")" -ne 1 ] \
   cat "$tmpdir/err" >&2
   exit 1
 fi
+
+# a port outside 0-65535 and a negative timeout are refused, naming the
+# flag, before anything binds (no port file appears)
+refused() { # refused FLAG VSTAMP-ARGS...
+  flag="$1"; shift
+  rc=0
+  "$VSTAMP" "$@" 2> "$tmpdir/err" || rc=$?
+  if [ "$rc" -eq 0 ] || ! grep -q -- "$flag" "$tmpdir/err" \
+    || [ -e "$tmpdir/refused.ports" ]; then
+    echo "$*: exit $rc, want a refusal naming $flag" >&2
+    cat "$tmpdir/err" >&2
+    exit 1
+  fi
+}
+refused --port serve --port 70000 --http-port 0 --quiet --duration 1 \
+  --port-file "$tmpdir/refused.ports"
+refused --timeout scrape --timeout=-1 --port 1 /metrics
 
 serve_node n0
 p0=$!

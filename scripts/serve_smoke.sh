@@ -2,7 +2,8 @@
 # Live-telemetry smoke: start a soaking process on an ephemeral port,
 # scrape every endpoint while the workload is running, check the
 # payloads are well-formed, then verify graceful SIGTERM shutdown
-# (final checkpoint appended, event log flushed, port released).
+# (final checkpoint appended, event log flushed, port released), also
+# when the signal lands in the middle of a long iteration.
 # Wired to the @serve-smoke dune alias (see the root dune file); not
 # part of @runtest so the tier-1 suite stays fast.
 set -eu
@@ -77,5 +78,41 @@ if scrape /healthz >/dev/null 2>&1; then
   echo "server still answering after shutdown" >&2
   exit 1
 fi
+
+# SIGTERM mid-iteration: at the default --ops 300, iteration 5
+# (sync-star, seed 6) runs for minutes, so the stop must end it at the
+# next simulator step and still shut down gracefully
+rm -f "$tmpdir/port"
+"$VSTAMP" soak --port 0 --port-file "$tmpdir/port" --quiet \
+  --ops 300 --iterations 5 --history "$tmpdir/hist5.jsonl" &
+soak_pid=$!
+i=0
+while [ ! -s "$tmpdir/port" ]; do
+  i=$((i + 1))
+  [ "$i" -gt 50 ] && { echo "soak never bound a port" >&2; exit 1; }
+  sleep 0.1
+done
+port=$(cat "$tmpdir/port")
+i=0
+until scrape /healthz 2>/dev/null | grep -q '"iterations":4'; do
+  i=$((i + 1))
+  [ "$i" -gt 600 ] && { echo "soak never finished iteration 4" >&2; exit 1; }
+  sleep 0.1
+done
+sleep 1.5
+kill -TERM "$soak_pid"
+i=0
+while kill -0 "$soak_pid" 2>/dev/null; do
+  i=$((i + 1))
+  if [ "$i" -gt 100 ]; then
+    kill -9 "$soak_pid"
+    echo "soak still running 10s after SIGTERM mid-iteration" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+wait "$soak_pid" || true
+soak_pid=""
+grep -q '"final":true' "$tmpdir/hist5.jsonl"
 
 echo "serve smoke ok"

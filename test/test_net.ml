@@ -305,6 +305,14 @@ let test_dialer_backoff_on_dead_peer () =
           | _ -> Alcotest.fail "peers array shape")
       | _ -> Alcotest.fail "peers_json shape")
 
+(* The one reconnect schedule, shared by the dialers and the CLI's
+   --retry: 0.2 s doubling, capped at 5 s. *)
+let test_backoff_schedule () =
+  Alcotest.(check (list (float 1e-9)))
+    "delays after failed attempts 1-7"
+    [ 0.2; 0.4; 0.8; 1.6; 3.2; 5.0; 5.0 ]
+    (List.map Vstamp_obs.Tcp.backoff_delay [ 1; 2; 3; 4; 5; 6; 7 ])
+
 let test_dialer_recovers_and_syncs () =
   let ra = Registry.create () and rb = Registry.create () in
   with_node ~registry:ra ~node_id:"a" (fun a ->
@@ -456,6 +464,7 @@ let () =
             test_garbage_frame_rejected;
           Alcotest.test_case "stamp past the depth cap rejected" `Quick
             test_deep_stamp_rejected;
+          Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "backoff on dead peer" `Quick
             test_dialer_backoff_on_dead_peer;
           Alcotest.test_case "dialer syncs periodically" `Quick
