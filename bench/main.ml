@@ -53,7 +53,6 @@ type bench_config = {
   e1_scales : int list;
   latency_quota_s : float;
   latency_limit : int;
-  case_budget_ms : float;
   e11_uniform_ops : int;
   e11_deep_fork_depth : int;
   e11_churn_ops : int;
@@ -83,7 +82,6 @@ let bench_config ~quick =
       e1_scales = [ 50; 100 ];
       latency_quota_s = 0.1;
       latency_limit = 1000;
-      case_budget_ms = 25.0;
       e11_uniform_ops = 100;
       e11_deep_fork_depth = 40;
       e11_churn_ops = 60;
@@ -111,7 +109,6 @@ let bench_config ~quick =
       e1_scales = [ 50; 100; 200; 400 ];
       latency_quota_s = 0.25;
       latency_limit = 2000;
-      case_budget_ms = 100.0;
       e11_uniform_ops = 400;
       e11_deep_fork_depth = 100;
       e11_churn_ops = 200;
@@ -142,7 +139,6 @@ let config_json c =
       ("e1_scales", Jsonx.List (List.map (fun n -> Jsonx.Int n) c.e1_scales));
       ("latency_quota_s", Jsonx.Float c.latency_quota_s);
       ("latency_limit", Jsonx.Int c.latency_limit);
-      ("case_budget_ms", Jsonx.Float c.case_budget_ms);
       ("e11_uniform_ops", Jsonx.Int c.e11_uniform_ops);
       ("e11_deep_fork_depth", Jsonx.Int c.e11_deep_fork_depth);
       ("e11_churn_ops", Jsonx.Int c.e11_churn_ops);
@@ -694,47 +690,26 @@ let e10 () =
 (* E3: operation latency (bechamel)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let make_deep_stamp depth =
-  (* a stamp with a fragmented id, representative of a busy replica *)
+(* a stamp with a fragmented id, representative of a busy replica *)
+let make_deep_stamp (type s) (module B : Backend.S with type Stamp.t = s)
+    depth : s =
   let rec go s k =
     if k = 0 then s
     else
-      let a, b = Stamp.fork (Stamp.update s) in
-      go (Stamp.join ~reduce:false (Stamp.update a) b) (k - 1)
+      let a, b = B.Stamp.fork (B.Stamp.update s) in
+      go (B.Stamp.join ~reduce:false (B.Stamp.update a) b) (k - 1)
   in
-  go Stamp.seed depth
+  go B.Stamp.seed depth
 
-let make_deep_list_stamp depth =
-  let rec go s k =
-    if k = 0 then s
-    else
-      let a, b = Stamp.Over_list.fork (Stamp.Over_list.update s) in
-      go (Stamp.Over_list.join ~reduce:false (Stamp.Over_list.update a) b) (k - 1)
-  in
-  go Stamp.Over_list.seed depth
-
-let make_deep_packed_stamp depth =
-  let rec go s k =
-    if k = 0 then s
-    else
-      let a, b = Stamp.Over_packed.fork (Stamp.Over_packed.update s) in
-      go
-        (Stamp.Over_packed.join ~reduce:false (Stamp.Over_packed.update a) b)
-        (k - 1)
-  in
-  go Stamp.Over_packed.seed depth
-
-(* Latency cases as plain (group, name, thunk) triples so they can be
-   screened against the per-case time budget before bechamel sees them;
-   names reproduce the historical bechamel keys ("ops/stamp/join d8",
-   "ablation/list/join:12") so BENCH_history.jsonl stays comparable
+(* Latency cases as plain (group, name, thunk) triples; names reproduce
+   the historical bechamel keys ("ops/stamp/join d8",
+   "ablation/tree/join:12") so BENCH_history.jsonl stays comparable
    across the restructuring. *)
 let latency_cases () =
-  let stamp8 = make_deep_stamp 8 and stamp16 = make_deep_stamp 16 in
-  let list8 = make_deep_list_stamp 8 in
+  let stamp8 = make_deep_stamp (module Backend.Over_tree) 8
+  and stamp16 = make_deep_stamp (module Backend.Over_tree) 16 in
   let other8 = snd (Stamp.fork stamp8) in
   let other16 = snd (Stamp.fork stamp16) in
-  let other_list8 = snd (Stamp.Over_list.fork list8) in
   let vv =
     List.fold_left
       (fun v i -> Version_vector.increment v i)
@@ -758,12 +733,6 @@ let latency_cases () =
     ("ops", "stamp/reduce d8", fun () -> ignore (Stamp.reduce stamp8));
     ("ops", "stamp/leq d8", fun () -> ignore (Stamp.leq stamp8 other8));
     ("ops", "stamp/leq d16", fun () -> ignore (Stamp.leq stamp16 other16));
-    ( "ops",
-      "stamp-list/join d8",
-      fun () -> ignore (Stamp.Over_list.join list8 other_list8) );
-    ( "ops",
-      "stamp-list/leq d8",
-      fun () -> ignore (Stamp.Over_list.leq list8 other_list8) );
     ("ops", "vv/increment w8", fun () -> ignore (Version_vector.increment vv 3));
     ("ops", "vv/merge w8", fun () -> ignore (Version_vector.merge vv vv));
     ("ops", "vv/leq w8", fun () -> ignore (Version_vector.leq vv vv));
@@ -777,51 +746,30 @@ let latency_cases () =
       fun () -> ignore (Vstamp_codec.Wire.stamp_of_string wire8) );
   ]
 
-(* ablation A: representation choice (trie vs sorted list vs hash-consed
-   trie) as id fragmentation deepens; the depth sweep makes the scaling
-   shape visible, not just one point.  The packed lanes deliberately
-   benchmark the steady state — interning and memo tables warm — since
-   that is how a long-lived replica runs; the first-call cost is the
-   tree lane's. *)
+(* ablation A: representation choice (one lane set per registered
+   backend) as id fragmentation deepens; the depth sweep makes the
+   scaling shape visible, not just one point.  The packed lanes
+   deliberately benchmark the steady state — interning and memo tables
+   warm — since that is how a long-lived replica runs; the first-call
+   cost is the tree lane's. *)
 let ablation_cases () =
   let depths = [ 2; 4; 8; 12 ] in
   List.concat_map
     (fun d ->
-      let tree = make_deep_stamp d in
-      let tree_o = snd (Stamp.fork tree) in
-      let lst = make_deep_list_stamp d in
-      let lst_o = snd (Stamp.Over_list.fork lst) in
-      let pkd = make_deep_packed_stamp d in
-      let pkd_o = snd (Stamp.Over_packed.fork pkd) in
-      [
-        ( "ablation",
-          Printf.sprintf "tree/leq:%d" d,
-          fun () -> ignore (Stamp.leq tree tree_o) );
-        ( "ablation",
-          Printf.sprintf "list/leq:%d" d,
-          fun () -> ignore (Stamp.Over_list.leq lst lst_o) );
-        ( "ablation",
-          Printf.sprintf "packed/leq:%d" d,
-          fun () -> ignore (Stamp.Over_packed.leq pkd pkd_o) );
-        ( "ablation",
-          Printf.sprintf "tree/join:%d" d,
-          fun () -> ignore (Stamp.join tree tree_o) );
-        ( "ablation",
-          Printf.sprintf "list/join:%d" d,
-          fun () -> ignore (Stamp.Over_list.join lst lst_o) );
-        ( "ablation",
-          Printf.sprintf "packed/join:%d" d,
-          fun () -> ignore (Stamp.Over_packed.join pkd pkd_o) );
-        ( "ablation",
-          Printf.sprintf "tree/reduce:%d" d,
-          fun () -> ignore (Stamp.reduce tree) );
-        ( "ablation",
-          Printf.sprintf "list/reduce:%d" d,
-          fun () -> ignore (Stamp.Over_list.reduce lst) );
-        ( "ablation",
-          Printf.sprintf "packed/reduce:%d" d,
-          fun () -> ignore (Stamp.Over_packed.reduce pkd) );
-      ])
+      List.concat_map
+        (fun (e : Backend.entry) ->
+          let module B = (val e.impl) in
+          let s = make_deep_stamp (module B) d in
+          let o = snd (B.Stamp.fork s) in
+          let case op fn =
+            ("ablation", Printf.sprintf "%s/%s:%d" e.key op d, fn)
+          in
+          [
+            case "leq" (fun () -> ignore (B.Stamp.leq s o));
+            case "join" (fun () -> ignore (B.Stamp.join s o));
+            case "reduce" (fun () -> ignore (B.Stamp.reduce s));
+          ])
+        (Backend.entries ()))
     depths
 
 (* ablation B: eager reduction at join vs deferring it to a single final
@@ -1036,25 +984,7 @@ let e11 ~cfg () =
 let e3 ~cfg () =
   section "E3: operation latency (bechamel, ns/op)";
   let open Bechamel in
-  (* screen every case against the per-case time budget with one timed
-     probe call; a pathological case (list/join at depth 12 costs
-     ~300 ms per call) would otherwise own the whole run's wall clock *)
-  let survivors, timed_out =
-    List.partition_map
-      (fun (group, name, fn) ->
-        let t0 = Unix.gettimeofday () in
-        fn ();
-        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-        if ms <= cfg.case_budget_ms then Either.Left (group, name, fn)
-        else Either.Right (group ^ "/" ^ name, ms))
-      (latency_cases () @ ablation_cases ())
-  in
-  List.iter
-    (fun (key, ms) ->
-      Format.printf "  %s: over budget (probe %.1f ms > %.0f ms), recorded as \
-                     timed out@."
-        key ms cfg.case_budget_ms)
-    timed_out;
+  let cases = latency_cases () @ ablation_cases () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -1064,9 +994,7 @@ let e3 ~cfg () =
       ~quota:(Time.second cfg.latency_quota_s)
       ~kde:None ()
   in
-  let groups =
-    List.sort_uniq compare (List.map (fun (g, _, _) -> g) survivors)
-  in
+  let groups = List.sort_uniq compare (List.map (fun (g, _, _) -> g) cases) in
   let raw = Hashtbl.create 64 in
   List.iter
     (fun g ->
@@ -1074,7 +1002,7 @@ let e3 ~cfg () =
         List.filter_map
           (fun (g', name, fn) ->
             if g' = g then Some (Test.make ~name (Staged.stage fn)) else None)
-          survivors
+          cases
       in
       Hashtbl.iter
         (fun k v -> Hashtbl.replace raw k v)
@@ -1094,19 +1022,7 @@ let e3 ~cfg () =
     ~header:[ "operation"; "ns/op" ]
     (List.map (fun (name, ns) -> [ name; Printf.sprintf "%.0f" ns ]) estimates);
   Vstamp_obs.Jsonx.Obj
-    (List.sort compare
-       (List.map
-          (fun (name, ns) -> (name, Vstamp_obs.Jsonx.Float ns))
-          estimates
-       @ List.map
-           (fun (key, ms) ->
-             ( key,
-               Vstamp_obs.Jsonx.Obj
-                 [
-                   ("timed_out", Vstamp_obs.Jsonx.Bool true);
-                   ("probe_ms", Vstamp_obs.Jsonx.Float ms);
-                 ] ))
-           timed_out))
+    (List.map (fun (name, ns) -> (name, Vstamp_obs.Jsonx.Float ns)) estimates)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1697,7 +1613,8 @@ let e18 ~cfg () =
 (* /3 keeps every /2 field and adds the config and wall_clock blocks
    (Bench_store's comparability key and run metadata), the E11 sampled
    columns, the E13 sampling_sweep, and {"timed_out": true} markers for
-   latency cases over the per-case budget.  /4 keeps every /3 field and
+   latency cases over the per-case budget (no longer written: the list
+   lanes, the only ones over it, left E3).  /4 keeps every /3 field and
    adds the registered backend set to the config block plus the
    packed-backend ablation lanes.  /5 keeps every /4 field and adds the
    E14 convergence block (divergence / time-to-convergence /

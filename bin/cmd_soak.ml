@@ -121,9 +121,9 @@ let soak_checkpoint ~history ~registry ~srv ~sink ~t0 ~iteration ~final =
   in
   Vstamp_obs.Bench_store.append ~file:history j
 
-(* Raised by the simulator's event sink once a stop is requested: an
-   iteration can run for minutes (sync-star at --ops 300), and a
-   SIGTERM must end it at the next simulator step. *)
+(* Raised by the simulator's event sink once a stop is requested or
+   --duration has run out: an iteration can run for minutes (sync-star
+   at --ops 300), and either must end it at the next simulator step. *)
 exception Stopped
 
 let soak port addr duration iterations n_ops seed backend sampling
@@ -298,9 +298,13 @@ let soak port addr duration iterations n_ops seed backend sampling
       ()
   in
   on_stop_signals (fun () -> stop := true);
+  let t0 = Unix.gettimeofday () in
+  let out_of_time () =
+    duration > 0.0 && Unix.gettimeofday () -. t0 >= duration
+  in
   let sim_sink =
     Obs_sink.of_fn (fun e ->
-        if !stop then raise Stopped;
+        if !stop || out_of_time () then raise Stopped;
         Obs_sink.emit sink e)
   in
   Vstamp_kvs.Kv_node.Obs.attach ~registry ();
@@ -309,15 +313,10 @@ let soak port addr duration iterations n_ops seed backend sampling
   let sim_failures = Obs_registry.counter registry "soak_sim_failures_total" in
   let iter_counter = Obs_registry.counter registry "soak_iterations_total" in
   let step_gauge = Obs_registry.gauge registry "soak_last_step" in
-  let t0 = Unix.gettimeofday () in
   let workloads =
     [| "uniform"; "gossip"; "churn"; "partitioned"; "sync-star" |]
   in
-  let expired i =
-    !stop
-    || (iterations > 0 && i > iterations)
-    || (duration > 0.0 && Unix.gettimeofday () -. t0 >= duration)
-  in
+  let expired i = !stop || (iterations > 0 && i > iterations) || out_of_time () in
   let rec loop i =
     if expired i then ()
     else begin
@@ -387,7 +386,7 @@ let soak port addr duration iterations n_ops seed backend sampling
         end
         else iteration_body ()
       in
-      (* a stop cut the iteration short: it does not count *)
+      (* a stop or the deadline cut the iteration short: not counted *)
       match run_iteration () with
       | exception Stopped -> ()
       | () ->

@@ -87,14 +87,18 @@ let parse_hostport ~flag spec =
       | _ -> die "%s %s: expected HOST:PORT" flag spec)
   | None -> die "%s %s: expected HOST:PORT" flag spec
 
-(* The stamp trackers come from the backend registry (one per
-   registered name backend); only the baselines are spelled out. *)
+(* One stamp tracker per registered name backend; the list
+   specification and the baselines are spelled out. *)
 let tracker_names () =
   List.map Tracker.name (Tracker.of_registry ())
-  @ [ "stamps-noreduce"; "vv"; "dvv"; "oracle"; "plausible-<slots>" ]
+  @ [
+      "stamps-noreduce"; "stamps-list"; "vv"; "dvv"; "oracle";
+      "plausible-<slots>";
+    ]
 
 let tracker_of_name = function
   | "stamps-noreduce" -> Ok Tracker.stamps_nonreducing
+  | "stamps-list" -> Ok Tracker.stamps_list
   | "vv" -> Ok Tracker.version_vectors
   | "dvv" -> Ok Tracker.dynamic_vv
   | "oracle" -> Ok Tracker.histories

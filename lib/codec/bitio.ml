@@ -103,8 +103,6 @@ module Reader = struct
       if continues then go (shift + 4) acc else acc
     in
     go 0 0
-
-  let bits_consumed r = r.pos
 end
 
 let round_trip_bits n =

@@ -46,8 +46,6 @@ module Reader : sig
 
   val varint : t -> int
   (** @raise Truncated at end of input or on an overlong encoding. *)
-
-  val bits_consumed : t -> int
 end
 
 val round_trip_bits : int -> int

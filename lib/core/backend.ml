@@ -3,9 +3,10 @@
    Every layer that used to pin a concrete name module (codec, sim
    trackers, CLI) goes through this seam instead: a backend bundles a
    name implementation with the stamp structure built over it, keyed by
-   a stable string.  The three in-tree implementations register
+   a stable string.  The tree and packed implementations register
    themselves at module initialization; third parties add theirs with
-   [register] (typically via [Of_name]). *)
+   [register] (typically via [Of_name]).  The list specification is
+   built the same way but left out of the registry. *)
 
 module type S = sig
   module Name : Name_intf.S
@@ -82,9 +83,6 @@ let default_key = "tree"
 
 let () =
   register ~key:"tree" ~doc:"binary tries (default)" (module Over_tree);
-  register ~key:"list"
-    ~doc:"sorted lists (the executable specification; slow at depth)"
-    (module Over_list);
   register ~key:"packed"
     ~doc:"hash-consed tries with memoized leq/join/reduce"
     (module Over_packed)

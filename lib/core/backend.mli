@@ -6,12 +6,16 @@
     over this signature or consult the registry at run time, instead of
     pinning a concrete name module.
 
-    Three backends register themselves when the library is linked:
+    Two backends register themselves when the library is linked:
 
     - ["tree"] — {!Name_tree}, plain binary tries (the default);
-    - ["list"] — {!Name}, sorted lists (the executable specification);
     - ["packed"] — {!Name_packed}, hash-consed tries with memoized
       operations (fastest on deep, shared structure).
+
+    {!Over_list} bundles {!Name}, the sorted-list executable
+    specification, the same way.  It is not registered: the tests
+    compare the registered backends against it, and the simulator
+    runs it as the ["stamps-list"] tracker.
 
     Register additional implementations with {!register}, typically by
     applying {!Of_name}. *)
@@ -27,7 +31,8 @@ module type S = sig
       binary trie, {!Name_tree.t}.  The wire codec reads and writes
       names through this view.  It is the identity for ["tree"], a
       node-for-node walk for ["packed"], and a round trip through the
-      member list for ["list"] and for backends built with {!Of_name}. *)
+      member list for {!Over_list} and for backends built with
+      {!Of_name}. *)
 
   val to_trie : Name.t -> Name_tree.t
   (** The canonical trie of a name. *)
@@ -67,6 +72,7 @@ val default : (module S)
 module Over_tree : S with module Name = Name_tree and module Stamp = Stamp.Over_tree
 
 module Over_list : S with module Name = Name and module Stamp = Stamp.Over_list
+(** The sorted-list specification; not registered. *)
 
 module Over_packed :
   S with module Name = Name_packed and module Stamp = Stamp.Over_packed

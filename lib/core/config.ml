@@ -87,6 +87,5 @@ module Make (S : Stamp.S) = struct
 end
 
 module Over_tree = Make (Stamp.Over_tree)
-module Over_list = Make (Stamp.Over_list)
 
 include Over_tree

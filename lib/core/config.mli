@@ -73,7 +73,5 @@ end
 
 module Over_tree : module type of Make (Stamp.Over_tree)
 
-module Over_list : module type of Make (Stamp.Over_list)
-
 include module type of Over_tree
 (** Named configurations over the default trie-backed stamps. *)

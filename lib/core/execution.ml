@@ -132,47 +132,11 @@ module Stamp_subject (S : Stamp.S) = struct
        and type state = unit)
 end
 
-module Stamps_reduced = struct
-  type t = Stamp.t
-
-  type state = unit
-
-  let initial = ((), Stamp.seed)
-
-  let update () x = ((), Stamp.update x)
-
-  let fork () x = ((), Stamp.fork x)
-
-  let join () a b = ((), Stamp.join ~reduce:true a b)
-end
-
-module Stamps_nonreducing = struct
-  type t = Stamp.t
-
-  type state = unit
-
-  let initial = ((), Stamp.seed)
-
-  let update () x = ((), Stamp.update x)
-
-  let fork () x = ((), Stamp.fork x)
-
-  let join () a b = ((), Stamp.join ~reduce:false a b)
-end
-
-module Stamps_list = struct
-  type t = Stamp.Over_list.t
-
-  type state = unit
-
-  let initial = ((), Stamp.Over_list.seed)
-
-  let update () x = ((), Stamp.Over_list.update x)
-
-  let fork () x = ((), Stamp.Over_list.fork x)
-
-  let join () a b = ((), Stamp.Over_list.join ~reduce:true a b)
-end
+module Tree_subjects = Stamp_subject (Stamp)
+module List_subjects = Stamp_subject (Stamp.Over_list)
+module Stamps_reduced = (val Tree_subjects.make ~reduce:true)
+module Stamps_nonreducing = (val Tree_subjects.make ~reduce:false)
+module Stamps_list = (val List_subjects.make ~reduce:true)
 
 module Histories = struct
   type t = Causal_history.t

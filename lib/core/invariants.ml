@@ -89,6 +89,5 @@ end
 
 module Over_tree = Make (Name_tree) (Stamp.Over_tree)
 module Over_list = Make (Name) (Stamp.Over_list)
-module Over_packed = Make (Name_packed) (Stamp.Over_packed)
 
 include Over_tree

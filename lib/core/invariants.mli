@@ -52,7 +52,5 @@ module Over_tree : module type of Make (Name_tree) (Stamp.Over_tree)
 
 module Over_list : module type of Make (Name) (Stamp.Over_list)
 
-module Over_packed : module type of Make (Name_packed) (Stamp.Over_packed)
-
 include module type of Over_tree
 (** Checkers for the default (trie-backed) stamps. *)

@@ -57,9 +57,5 @@ end
 
 module Over_tree : module type of Make (Vstamp_core.Stamp.Over_tree)
 
-module Over_list : module type of Make (Vstamp_core.Stamp.Over_list)
-
-module Over_packed : module type of Make (Vstamp_core.Stamp.Over_packed)
-
 include module type of Over_tree
 (** Registers over the default trie-backed stamps. *)

@@ -199,7 +199,5 @@ module Make (S : Stamp.S) = struct
 end
 
 module Over_tree = Make (Stamp.Over_tree)
-module Over_list = Make (Stamp.Over_list)
-module Over_packed = Make (Stamp.Over_packed)
 
 include Over_tree

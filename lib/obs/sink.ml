@@ -21,19 +21,6 @@ let memory () =
 
 let contents t = match t.buffer with Some buf -> List.rev !buf | None -> []
 
-let of_channel ?(flush_each = false) oc =
-  {
-    write =
-      (fun e ->
-        output_string oc (Event.to_string e);
-        output_char oc '\n';
-        if flush_each then flush oc);
-    flush_now = (fun () -> flush oc);
-    finish = (fun () -> flush oc);
-    buffer = None;
-    n = 0;
-  }
-
 let to_file ?(fsync = true) path =
   let oc = open_out path in
   let closed = ref false in

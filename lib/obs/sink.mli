@@ -13,10 +13,6 @@ val contents : t -> Event.t list
 (** Events of a {!memory} sink, oldest first; [[]] for other sinks
     (including a {!tee} of memory sinks — read the children). *)
 
-val of_channel : ?flush_each:bool -> out_channel -> t
-(** One JSONL line per event.  The channel is not closed by {!close};
-    it belongs to the caller. *)
-
 val to_file : ?fsync:bool -> string -> t
 (** Open (truncate) a file for JSONL output; {!close} closes it.
 

@@ -57,7 +57,5 @@ struct
 end
 
 module Over_tree = Make (File_copy.Over_tree)
-module Over_list = Make (File_copy.Over_list)
-module Over_packed = Make (File_copy.Over_packed)
 
 include Over_tree

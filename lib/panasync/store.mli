@@ -61,9 +61,5 @@ end
 
 module Over_tree : module type of Make (File_copy.Over_tree)
 
-module Over_list : module type of Make (File_copy.Over_list)
-
-module Over_packed : module type of Make (File_copy.Over_packed)
-
 include module type of Over_tree with type t = Over_tree.t
 (** The default (tree-backed) instantiation. *)

@@ -158,7 +158,7 @@ struct
 
   let meta_bytes c = (F.size_bits c + 7) / 8
 
-  let sync_file_raw policy left right =
+  let sync_file policy left right =
     match F.relation left right with
     | Relation.Equal
       when not (String.equal (F.content left) (F.content right)) -> (
@@ -250,23 +250,6 @@ struct
       payload = moved_bytes outcome l r;
     }
 
-  let observe_report outcome l r =
-    Obs.on (fun c ->
-        Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
-        (match moved_bytes outcome l r with
-        | 0 -> ()
-        | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
-        let shipped, minimal =
-          Engine.delta (to_engine_outcome outcome) (charge_of outcome l r)
-        in
-        Ledger.account c.Obs.ledger ~shipped ~minimal;
-        if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
-
-  let sync_file policy left right =
-    let l, r, report = sync_file_raw policy left right in
-    observe_report report.outcome l r;
-    (l, r, report)
-
   (* The engine store adapter: a panasync store keyed by path, with the
      copies' frontier view (stamp + lineage, no payload) as metadata and
      an MD5 content digest standing in for the old direct content
@@ -307,7 +290,7 @@ struct
     {
       E.reconcile =
         (fun ~key:_ item_a item_b ->
-          let l, r, report = sync_file_raw policy item_a item_b in
+          let l, r, report = sync_file policy item_a item_b in
           let relation =
             match report.relation with Some rel -> rel | None -> assert false
           in
@@ -366,7 +349,5 @@ struct
 end
 
 module Over_tree = Make (File_copy.Over_tree) (Store.Over_tree)
-module Over_list = Make (File_copy.Over_list) (Store.Over_list)
-module Over_packed = Make (File_copy.Over_packed) (Store.Over_packed)
 
 include Over_tree

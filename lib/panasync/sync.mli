@@ -95,10 +95,6 @@ end) (St : sig
 
   val set : t -> F.t -> t
 end) : sig
-  val sync_file : policy -> F.t -> F.t -> F.t * F.t * report
-  (** Reconcile two copies of one logical file.
-      @raise Invalid_argument if their paths differ. *)
-
   val session : ?policy:policy -> St.t -> St.t -> St.t * St.t * report list
   (** Synchronize two stores; returns both updated stores and one report
       per logical path (sorted by path).  Default policy is [Manual]. *)
@@ -109,11 +105,6 @@ end) : sig
 end
 
 module Over_tree : module type of Make (File_copy.Over_tree) (Store.Over_tree)
-
-module Over_list : module type of Make (File_copy.Over_list) (Store.Over_list)
-
-module Over_packed :
-    module type of Make (File_copy.Over_packed) (Store.Over_packed)
 
 include module type of Over_tree
 (** The default (tree-backed) instantiation. *)

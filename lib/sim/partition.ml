@@ -24,8 +24,6 @@ let apply t op =
   | Execution.Join (i, j) ->
       Execution.join_positions t i j ~merged:(List.nth t i)
 
-let apply_trace t ops = List.fold_left apply t ops
-
 let positions_in t g =
   List.mapi (fun i g' -> (i, g')) t
   |> List.filter_map (fun (i, g') -> if g = g' then Some i else None)

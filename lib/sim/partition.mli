@@ -25,8 +25,6 @@ val size : t -> int
 val apply : t -> Vstamp_core.Execution.op -> t
 (** Mirror one operation. *)
 
-val apply_trace : t -> Vstamp_core.Execution.op list -> t
-
 val positions_in : t -> int -> int list
 (** Frontier positions currently in a group. *)
 

@@ -167,9 +167,10 @@ let run ?(with_oracle = true) ?registry ?sink ?(check_invariants = false)
     | Some reg ->
         let t0 = Clock.now_ns () in
         let r = R.apply st f op in
-        Span.record ~registry:reg
-          (Printf.sprintf "sim_op_ns{tracker=%S,op=%S}" T.name (op_label op))
-          (Int64.sub (Clock.now_ns ()) t0);
+        Metric.observe
+          (Registry.histogram reg
+             (Printf.sprintf "sim_op_ns{tracker=%S,op=%S}" T.name (op_label op)))
+          (Int64.to_float (Int64.sub (Clock.now_ns ()) t0));
         r
   in
   let apply st f op =

@@ -251,14 +251,13 @@ let of_backend ?(reduce = true) ~name b =
   Packed (module T)
 
 (* One stamp tracker per registered backend, in registry (key) order.
-   The three in-tree backends resolve to the statically built modules
+   The two in-tree backends resolve to the statically built modules
    above so their [t] types stay equal to the exposed ones. *)
 let of_registry () =
   List.map
     (fun (e : Backend.entry) ->
       match e.key with
       | "tree" -> stamps
-      | "list" -> stamps_list
       | "packed" -> stamps_packed
       | key -> of_backend ~name:(stamp_tracker_name key) e.impl)
     (Backend.entries ())
@@ -276,10 +275,10 @@ let plausible size =
   Packed (module P)
 
 (* The sweep set: the default stamp tracker first (its historical
-   position), the non-reducing variant, then the remaining registry
-   backends, then the baselines. *)
+   position), the non-reducing variant, the list specification, then
+   the remaining registry backends, then the baselines. *)
 let all =
-  (stamps :: stamps_nonreducing
+  (stamps :: stamps_nonreducing :: stamps_list
    :: List.filter (fun t -> name t <> "stamps") (of_registry ()))
   @ [ histories; version_vectors; dynamic_vv; plausible 4; plausible 8 ]
 
@@ -297,9 +296,16 @@ let with_metrics ?(registry = Vstamp_obs.Registry.default) (Packed (module T)) =
 
       let initial = T.initial
 
+      (* recorded even when the call raises *)
       let span op f =
-        Vstamp_obs.Span.time ~registry
-          (Printf.sprintf "tracker_op_ns{tracker=%S,op=%S}" T.name op)
+        let open Vstamp_obs in
+        let t0 = Clock.now_ns () in
+        Fun.protect
+          ~finally:(fun () ->
+            Metric.observe
+              (Registry.histogram registry
+                 (Printf.sprintf "tracker_op_ns{tracker=%S,op=%S}" T.name op))
+              (Int64.to_float (Int64.sub (Clock.now_ns ()) t0)))
           f
 
       let update st x = span "update" (fun () -> T.update st x)

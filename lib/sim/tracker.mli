@@ -85,6 +85,8 @@ val stamps : packed
 val stamps_nonreducing : packed
 
 val stamps_list : packed
+(** Stamps over the list specification, {!Vstamp_core.Backend.Over_list},
+    which the registry leaves out. *)
 
 val stamps_packed : packed
 

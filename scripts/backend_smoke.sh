@@ -3,8 +3,10 @@
 # end to end, produce deterministic telemetry, and the CLI must reject
 # unknown keys with the valid set.  The set of backends is discovered
 # from the CLI's own error message, so a newly registered backend is
-# picked up without editing this script.  Wired to the @backend-smoke
-# dune alias (see the root dune file); not part of @runtest.
+# picked up without editing this script.  The unregistered list
+# specification runs through its own tracker, stamps-list.  Wired to
+# the @backend-smoke dune alias (see the root dune file); not part of
+# @runtest.
 set -eu
 
 VSTAMP="$1"
@@ -41,5 +43,8 @@ for b in $keys; do
     >"$tmpdir/$b-oracle.out"
   grep -q "acc=exact" "$tmpdir/$b-oracle.out"
 done
+"$VSTAMP" simulate -t stamps-list -w gossip -s 7 -n 120 \
+  >"$tmpdir/list-oracle.out"
+grep -q "acc=exact" "$tmpdir/list-oracle.out"
 
 echo "backend smoke ok"

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Benchmark regression-gate smoke: a quick-mode bench run must feed the
-# ledger, pass its own gate, trip the gate on a synthetic regression,
-# and be refused against a run recorded under a different config.
+# Benchmark regression-gate smoke: a quick-mode bench run must finish
+# within its wall-time limit, feed the ledger, pass its own gate, trip
+# the gate on a synthetic regression, and be refused against a run
+# recorded under a different config.
 # Wired to the @bench-smoke dune alias (see the root dune file); not
-# part of @runtest because the bench lane costs a few wall-clock
+# part of @runtest because the bench lane costs tens of wall-clock
 # seconds.
 set -eu
 
@@ -14,6 +15,19 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 "$BENCH" --quick --out "$tmpdir/run.json" --history "$tmpdir/history.jsonl" \
   >/dev/null
+
+# the quick run's own wall clock, as recorded in its JSON
+limit_s=60
+elapsed_s=$(sed -n 's/.*"wall_clock":{[^}]*"elapsed_s":\([0-9.e+-]*\).*/\1/p' \
+  "$tmpdir/run.json")
+if [ -z "$elapsed_s" ]; then
+  echo "bench smoke: no wall_clock.elapsed_s in the quick run's JSON" >&2
+  exit 1
+fi
+if awk -v t="$elapsed_s" -v l="$limit_s" 'BEGIN { exit !(t > l) }'; then
+  echo "bench smoke: quick bench took ${elapsed_s} s, over the ${limit_s} s limit" >&2
+  exit 1
+fi
 
 # every run appends exactly one ledger entry
 [ "$(wc -l < "$tmpdir/history.jsonl")" -eq 1 ] || {

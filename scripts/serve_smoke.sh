@@ -3,7 +3,8 @@
 # scrape every endpoint while the workload is running, check the
 # payloads are well-formed, then verify graceful SIGTERM shutdown
 # (final checkpoint appended, event log flushed, port released), also
-# when the signal lands in the middle of a long iteration.
+# when the signal, or the end of --duration, lands in the middle of a
+# long iteration.
 # Wired to the @serve-smoke dune alias (see the root dune file); not
 # part of @runtest so the tier-1 suite stays fast.
 set -eu
@@ -114,5 +115,28 @@ done
 wait "$soak_pid" || true
 soak_pid=""
 grep -q '"final":true' "$tmpdir/hist5.jsonl"
+
+# --duration mid-iteration: the deadline must end iteration 5 the same
+# way, without a signal, and the run must exit 0
+"$VSTAMP" soak --ops 300 --duration 6 --port 0 -q \
+  --history "$tmpdir/hist_dur.jsonl" &
+soak_pid=$!
+deadline=$(($(date +%s) + 20))
+while kill -0 "$soak_pid" 2>/dev/null; do
+  if [ "$(date +%s)" -ge "$deadline" ]; then
+    kill -9 "$soak_pid"
+    echo "soak --duration 6 still running after 20s" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+status=0
+wait "$soak_pid" || status=$?
+soak_pid=""
+if [ "$status" -ne 0 ]; then
+  echo "soak --duration 6 exited $status, not 0" >&2
+  exit 1
+fi
+grep -q '"final":true' "$tmpdir/hist_dur.jsonl"
 
 echo "serve smoke ok"

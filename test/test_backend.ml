@@ -1,6 +1,7 @@
 (* The backend registry: the in-tree set, lookup behaviour, duplicate
-   rejection, and that registered implementations agree through the
-   Backend.S seam (first-class module access, as the CLI uses it). *)
+   rejection, and that registered implementations (and the unregistered
+   list specification) agree through the Backend.S seam (first-class
+   module access, as the CLI uses it). *)
 
 open Vstamp_core
 
@@ -11,7 +12,8 @@ let test_keys () =
   List.iter
     (fun k ->
       check_bool (k ^ " registered") true (List.mem k keys))
-    [ "tree"; "list"; "packed" ];
+    [ "tree"; "packed" ];
+  check_bool "list spec not registered" false (List.mem "list" keys);
   Alcotest.(check (list string)) "sorted" (List.sort compare keys) keys;
   check_bool "default key registered" true
     (List.mem Backend.default_key keys)
@@ -62,17 +64,18 @@ let test_register_of_name () =
   check_bool "alias listed" true (List.mem key (Backend.keys ()))
 
 let test_first_class_use () =
-  (* drive an arbitrary registered backend through the seam exactly the
-     way the CLI and smoke tooling do *)
+  (* drive every registered backend, and the list specification, through
+     the seam exactly the way the CLI and smoke tooling do *)
   List.iter
-    (fun key ->
-      let module B = (val Backend.get key) in
+    (fun (key, impl) ->
+      let module B = (val impl : Backend.S) in
       let s = B.Stamp.update B.Stamp.seed in
       let a, b = B.Stamp.fork s in
       let j = B.Stamp.join (B.Stamp.update a) b in
       check_bool (key ^ " well-formed after ops") true (B.Stamp.well_formed j);
       check_bool (key ^ " update visible") true (B.Stamp.has_updates j))
-    (Backend.keys ())
+    (("list", (module Backend.Over_list : Backend.S))
+    :: List.map (fun key -> (key, Backend.get key)) (Backend.keys ()))
 
 let test_default_is_tree () =
   Alcotest.(check string) "default key" "tree" Backend.default_key;

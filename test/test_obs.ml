@@ -318,18 +318,6 @@ let test_registry_exposition () =
   | Ok v -> check_bool "snapshot parses back" true (Jsonx.equal v json)
   | Error e -> Alcotest.failf "snapshot reparse: %s" e
 
-(* --- Span --- *)
-
-let test_span () =
-  let r = Registry.create () in
-  let v = Span.time ~registry:r "work_ns" (fun () -> 42) in
-  check_int "time returns value" 42 v;
-  Span.record ~registry:r "work_ns" 1000L;
-  check_int "two observations" 2
-    (Metric.observations (Registry.histogram r "work_ns"));
-  check_bool "durations nonnegative" true
-    (Metric.min_value (Registry.histogram r "work_ns") >= 0.0)
-
 (* --- Sink --- *)
 
 let test_sink_memory () =
@@ -586,7 +574,6 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_registry;
           Alcotest.test_case "exposition" `Quick test_registry_exposition;
-          Alcotest.test_case "span" `Quick test_span;
           Alcotest.test_case "label escaping" `Quick test_label_escape_basics;
           qc qcheck_label_escape_roundtrip;
           qc qcheck_label_metrics_roundtrip;

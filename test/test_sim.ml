@@ -280,6 +280,25 @@ let test_system_counts () =
   check_int "joins" 1 r.System.joins;
   check_int "frontier" 2 r.System.final.System.frontier
 
+(* every applied op lands in exactly one sim_op_ns histogram *)
+let test_system_op_histograms () =
+  let registry = Vstamp_obs.Registry.create () in
+  let ops = Workload.churn ~seed:3 ~target:6 ~n_ops:80 () in
+  ignore (System.run ~registry Tracker.stamps ops : System.result);
+  let observed =
+    List.fold_left
+      (fun acc (name, m) ->
+        match m with
+        | Vstamp_obs.Registry.Histogram h
+          when String.starts_with ~prefix:"sim_op_ns{" name ->
+            acc + Vstamp_obs.Metric.observations h
+        | _ -> acc)
+      0
+      (Vstamp_obs.Registry.snapshot registry)
+  in
+  check_bool "trace not empty" true (ops <> []);
+  check_int "one observation per op" (List.length ops) observed
+
 let test_system_no_oracle () =
   let r = System.run ~with_oracle:false Tracker.stamps [ Execution.Fork 0 ] in
   check_bool "no accuracy" true (r.System.accuracy = None)
@@ -556,6 +575,8 @@ let () =
           Alcotest.test_case "non-reducing exact (small)" `Quick
             test_nonreducing_exact_small;
           Alcotest.test_case "op counts" `Quick test_system_counts;
+          Alcotest.test_case "op latency histograms" `Quick
+            test_system_op_histograms;
           Alcotest.test_case "without oracle" `Quick test_system_no_oracle;
           Alcotest.test_case "run_all" `Quick test_run_all;
           Alcotest.test_case "reduction collapses merges" `Quick
