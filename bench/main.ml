@@ -701,6 +701,47 @@ let make_deep_stamp (type s) (module B : Backend.S with type Stamp.t = s)
   in
   go B.Stamp.seed depth
 
+(* The serve path's store work at the size of perfbench's
+   [mesh-rewrite]: 640 keys of 32 B.  [node/put] is one [Node.put] into
+   a node holding them; [kvs/reconcile] is one responder reconcile of
+   the 640-entry frontier a writer offers after rewriting an 8-key
+   window, 2 keys of it rewritten concurrently by the responder.
+   Returns the lanes and the node's stop. *)
+let serve_cases () =
+  let keys = Array.init 640 (Printf.sprintf "k%04d") in
+  let values = Array.map (fun k -> Printf.sprintf "%-32s" k) keys in
+  let module N = Vstamp_net.Node.Make (Backend.Over_tree) in
+  let node =
+    N.create ~registry:(Vstamp_obs.Registry.create ()) ~node_id:"bench-put"
+      ~backend:Backend.default_key ~port:0 ~peers:[] ()
+  in
+  Array.iteri (fun k key -> N.put node ~key values.(k)) keys;
+  let next = ref 0 in
+  let module KV = Vstamp_kvs.Stamped_kv in
+  let full =
+    Array.fold_left (fun s key -> KV.put s ~key "preload") KV.empty keys
+  in
+  let a, b = KV.sync full KV.empty in
+  let window = List.init 8 (fun w -> keys.(320 + w)) in
+  let a = List.fold_left (fun s key -> KV.put s ~key "rewrite") a window in
+  let b =
+    List.fold_left (fun s key -> KV.put s ~key "conflict") b
+      [ keys.(321); keys.(326) ]
+  in
+  let frontier = KV.offer a in
+  let items = KV.fulfil a (KV.wants b frontier) in
+  ( [
+      ( "ops",
+        "node/put k640",
+        fun () ->
+          next := (!next + 1) mod 640;
+          N.put node ~key:keys.(!next) values.(!next) );
+      ( "ops",
+        "kvs/reconcile k640",
+        fun () -> ignore (KV.reconcile b frontier items) );
+    ],
+    fun () -> N.stop node )
+
 (* Latency cases as plain (group, name, thunk) triples; names reproduce
    the historical bechamel keys ("ops/stamp/join d8",
    "ablation/tree/join:12") so BENCH_history.jsonl stays comparable
@@ -984,7 +1025,8 @@ let e11 ~cfg () =
 let e3 ~cfg () =
   section "E3: operation latency (bechamel, ns/op)";
   let open Bechamel in
-  let cases = latency_cases () @ ablation_cases () in
+  let serve, stop_serve = serve_cases () in
+  let cases = latency_cases () @ serve @ ablation_cases () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -996,18 +1038,21 @@ let e3 ~cfg () =
   in
   let groups = List.sort_uniq compare (List.map (fun (g, _, _) -> g) cases) in
   let raw = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      let tests =
-        List.filter_map
-          (fun (g', name, fn) ->
-            if g' = g then Some (Test.make ~name (Staged.stage fn)) else None)
-          cases
-      in
-      Hashtbl.iter
-        (fun k v -> Hashtbl.replace raw k v)
-        (Benchmark.all bcfg [ instance ] (Test.make_grouped ~name:g tests)))
-    groups;
+  Fun.protect ~finally:stop_serve (fun () ->
+      List.iter
+        (fun g ->
+          let tests =
+            List.filter_map
+              (fun (g', name, fn) ->
+                if g' = g then Some (Test.make ~name (Staged.stage fn))
+                else None)
+              cases
+          in
+          Hashtbl.iter
+            (fun k v -> Hashtbl.replace raw k v)
+            (Benchmark.all bcfg [ instance ]
+               (Test.make_grouped ~name:g tests)))
+        groups);
   let results = Analyze.all ols instance raw in
   let estimates =
     Hashtbl.fold

@@ -26,39 +26,90 @@ module Make (S : Stamp.S) = struct
   module R = Vstamp_crdt.Mv_register.Make (S)
   module Smap = Map.Make (String)
 
-  type t = string R.t Smap.t
+  (* The content digest is a sum of per-key fingerprints modulo 2^53:
+     order-independent, so a write adjusts it by one key's terms, and
+     exactly representable in the float gauge that exports it. *)
+  let mask = (1 lsl 53) - 1
 
-  let empty : t = Smap.empty
+  (* A key's fingerprint covers the key and every byte of its sorted
+     candidates: two chained passes of the runtime's string hash (30
+     bits each, every byte), folded into 53 bits. *)
+  let fingerprint key values =
+    let pass seed =
+      List.fold_left Hashtbl.seeded_hash (Hashtbl.seeded_hash seed key)
+        (List.sort String.compare values)
+    in
+    ((pass 0x2545 lsl 23) lxor pass 0x9e37) land mask
 
-  let keys t = List.map fst (Smap.bindings t)
+  (* A register and its fingerprint share one map entry, so a write
+     rebuilds one path of one map. *)
+  type entry = { reg : string R.t; fp : int }
 
-  let mem t key = Smap.mem key t
+  type t = { map : entry Smap.t; count : int; digest : int }
 
-  let get t key =
-    match Smap.find_opt key t with None -> [] | Some r -> R.read r
+  let empty = { map = Smap.empty; count = 0; digest = 0 }
 
-  let stamp t key =
-    Option.map R.stamp (Smap.find_opt key t)
+  let keys t = List.map fst (Smap.bindings t.map)
+
+  let cardinal t = t.count
+
+  let digest t = t.digest
+
+  let mem t key = Smap.mem key t.map
+
+  let find t key = Option.map (fun e -> e.reg) (Smap.find_opt key t.map)
+
+  let get t key = match find t key with None -> [] | Some r -> R.read r
+
+  let stamp t key = Option.map R.stamp (find t key)
+
+  (* Store [r] under [key], moving the count and the digest by this one
+     key.  A register whose candidates are unchanged keeps its
+     fingerprint. *)
+  let set t key r =
+    let values = R.read r in
+    match Smap.find_opt key t.map with
+    | None ->
+        let fp = fingerprint key values in
+        {
+          map = Smap.add key { reg = r; fp } t.map;
+          count = t.count + 1;
+          digest = (t.digest + fp) land mask;
+        }
+    | Some old ->
+        let fp =
+          if List.equal String.equal (R.read old.reg) values then old.fp
+          else fingerprint key values
+        in
+        {
+          t with
+          map = Smap.add key { reg = r; fp } t.map;
+          digest = (t.digest - old.fp + fp) land mask;
+        }
 
   let put t ~key value =
-    let r =
-      match Smap.find_opt key t with
+    set t key
+      (match find t key with
       | Some r -> R.write r value
-      | None -> R.create value
-    in
-    Smap.add key r t
+      | None -> R.create value)
 
-  let remove t key = Smap.remove key t
+  let remove t key =
+    match Smap.find_opt key t.map with
+    | None -> t
+    | Some old ->
+        {
+          map = Smap.remove key t.map;
+          count = t.count - 1;
+          digest = (t.digest - old.fp) land mask;
+        }
 
   let resolve t ~key ~value =
-    match Smap.find_opt key t with
+    match find t key with
     | None -> put t ~key value
-    | Some r -> Smap.add key (R.resolve r ~value) t
+    | Some r -> set t key (R.resolve r ~value)
 
   let conflict t key =
-    match Smap.find_opt key t with
-    | Some r -> R.is_conflicted r
-    | None -> false
+    match find t key with Some r -> R.is_conflicted r | None -> false
 
   let value_bytes r =
     List.fold_left (fun acc v -> acc + String.length v) 0 (R.read r)
@@ -76,9 +127,9 @@ module Make (S : Stamp.S) = struct
 
     let keys = keys
 
-    let find t key = Smap.find_opt key t
+    let find = find
 
-    let set t key item = Smap.add key item t
+    let set = set
 
     let meta_of = R.stamp
 
@@ -181,21 +232,21 @@ module Make (S : Stamp.S) = struct
   let converged a b =
     List.for_all
       (fun key ->
-        match (Smap.find_opt key a, Smap.find_opt key b) with
+        match (find a key, find b key) with
         | Some ra, Some rb ->
             List.sort compare (R.read ra) = List.sort compare (R.read rb)
         | _ -> false)
       (List.sort_uniq String.compare (keys a @ keys b))
 
   let size_bits t =
-    Smap.fold (fun _ r acc -> acc + S.size_bits (R.stamp r)) t 0
+    Smap.fold (fun _ e acc -> acc + S.size_bits (R.stamp e.reg)) t.map 0
 
   let pp ppf t =
     Format.pp_print_list
       ~pp_sep:Format.pp_print_space
-      (fun ppf (key, r) ->
-        Format.fprintf ppf "%s=%a" key (R.pp Format.pp_print_string) r)
-      ppf (Smap.bindings t)
+      (fun ppf (key, e) ->
+        Format.fprintf ppf "%s=%a" key (R.pp Format.pp_print_string) e.reg)
+      ppf (Smap.bindings t.map)
 end
 
 module Over_tree = Make (Stamp.Over_tree)

@@ -25,6 +25,19 @@ module Make (S : Vstamp_core.Stamp.S) : sig
   val keys : t -> string list
   (** Sorted. *)
 
+  val cardinal : t -> int
+  (** The number of keys, in O(1): kept by every mutation. *)
+
+  val digest : t -> int
+  (** The content digest, in O(1): the sum modulo 2{^53} of one
+      fingerprint per key, each covering the key and every byte of its
+      sorted candidates, never its stamp.  Stores with the same keys
+      and candidate sets have equal digests whatever their histories;
+      any other pair collides only by accident of the hash.  Every
+      mutation adjusts it by the one key it touches, and a mutation
+      that leaves a key's candidates as they were keeps its
+      fingerprint.  Below 2{^53}, so a float gauge holds it exactly. *)
+
   val mem : t -> string -> bool
 
   val get : t -> string -> string list
@@ -64,7 +77,8 @@ module Make (S : Vstamp_core.Stamp.S) : sig
 
   type frontier = (string * S.t * string) list
   (** One entry per key: its stamp and a digest fingerprinting the
-      candidate value set. *)
+      candidate value set (an MD5 computed by {!offer}, not the store's
+      {!digest}). *)
 
   type delta = (string * S.t * string list) list
   (** Full entries on the move: key, stamp, candidate values. *)

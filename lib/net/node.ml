@@ -70,19 +70,11 @@ module Make (B : Backend.S) = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  (* The observable-content fingerprint: every replica that holds the
-     same keys with the same candidate sets reports the same digest,
-     whatever its stamps look like — this is what the convergence
-     assertions of the smoke test and E18 compare across nodes. *)
-  let content_digest store =
-    Hashtbl.hash
-      (List.map
-         (fun k -> (k, List.sort compare (KV.get store k)))
-         (KV.keys store))
-
+  (* The store keeps its key count and content digest up to date, so
+     the gauges cost O(1) after every put, reconcile and apply. *)
   let refresh_store_gauges t =
-    M.set t.m.store_keys (float_of_int (List.length (KV.keys t.store)));
-    M.set t.m.store_digest (float_of_int (content_digest t.store))
+    M.set t.m.store_keys (float_of_int (KV.cardinal t.store));
+    M.set t.m.store_digest (float_of_int (KV.digest t.store))
 
   let refresh_peer_gauge t =
     let n =
@@ -102,7 +94,7 @@ module Make (B : Backend.S) = struct
 
   let keys t = locked t (fun () -> KV.keys t.store)
 
-  let digest t = locked t (fun () -> content_digest t.store)
+  let digest t = locked t (fun () -> KV.digest t.store)
 
   let port t = Tcp.port t.server
 
@@ -382,15 +374,20 @@ module Make (B : Backend.S) = struct
       | Some m -> [ ("last_error", J.String m) ]
       | None -> [])
 
+  (* The key count and the digest are read under one lock, so both
+     describe the same store. *)
   let peers_json t =
+    let store_keys, store_digest =
+      locked t (fun () -> (KV.cardinal t.store, KV.digest t.store))
+    in
     J.Obj
       [
         ("node_id", J.String t.node_id);
         ("backend", J.String t.backend);
         ("protocol", J.String Proto.magic);
         ("port", J.Int (port t));
-        ("store_keys", J.Int (List.length (keys t)));
-        ("store_digest", J.Int (digest t));
+        ("store_keys", J.Int store_keys);
+        ("store_digest", J.Int store_digest);
         ("peers", J.List (List.map peer_json t.peers));
       ]
 

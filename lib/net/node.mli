@@ -69,9 +69,11 @@ module Make (B : Vstamp_core.Backend.S) : sig
   val keys : t -> string list
 
   val digest : t -> int
-  (** Fingerprint of the observable store content (keys and sorted
-      candidate sets, stamps excluded): replicas that have converged
-      report equal digests.  Exported as the [net_store_digest] gauge. *)
+  (** {!Vstamp_kvs.Stamped_kv.Make.digest} of the node's store, read in
+      O(1): a 53-bit sum of per-key fingerprints over every key and
+      every byte of its sorted candidates, stamps excluded.  Replicas
+      that have converged report equal digests.  Exported as the
+      [net_store_digest] gauge, which holds it exactly. *)
 
   val peers_json : t -> Vstamp_obs.Jsonx.t
   (** The [/peers.json] snapshot: node identity, bound port, store

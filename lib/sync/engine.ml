@@ -122,29 +122,67 @@ module Make (S : STORE) = struct
     | None -> ());
     match on_report with Some f -> f report | None -> ()
 
+  let rec ascending = function
+    | a :: (b :: _ as rest) ->
+        String.compare a.f_key b.f_key < 0 && ascending rest
+    | _ -> true
+
+  (* The frontier is peer input, and the walk needs its keys strictly
+     ascending.  Any other frontier is sorted, and of several entries
+     for one key the last wins. *)
+  let normalise frontier =
+    if ascending frontier then frontier
+    else
+      let by_key =
+        List.fold_left (fun m f -> Smap.add f.f_key f m) Smap.empty frontier
+      in
+      List.map snd (Smap.bindings by_key)
+
   let reconcile ?ledger ?tally ?on_report config store frontier items =
-    let offered =
-      List.fold_left (fun m f -> Smap.add f.f_key f m) Smap.empty frontier
-    in
     let received =
       List.fold_left (fun m e -> Smap.add e.e_key e.e_item m) Smap.empty items
     in
-    let all_keys =
-      List.sort_uniq String.compare
-        (List.map (fun f -> f.f_key) frontier @ S.keys store)
-    in
     let emit report = charge_for ledger tally on_report report in
-    let store, results_rev, reports_rev =
-      List.fold_left
-        (fun (store, results, reports) key ->
-          match (Smap.find_opt key offered, S.find store key) with
-          | None, None -> (store, results, reports)
-          | None, Some item ->
-              (* responder-only entry: replicate it for the initiator *)
+    (* One key of the union: [offered] is its frontier entry, if any. *)
+    let step (store, results, reports) key offered =
+      match (offered, S.find store key) with
+      | None, None -> (store, results, reports)
+      | None, Some item ->
+          (* responder-only entry: replicate it for the initiator *)
+          let mine, theirs = config.replicate item in
+          let charge =
+            {
+              meta_a = S.meta_bytes (S.meta_of item);
+              meta_b = 0;
+              payload = S.payload_bytes item;
+            }
+          in
+          let shipped, minimal = delta Created charge in
+          let report =
+            {
+              key;
+              relation = None;
+              outcome = Created;
+              payload = charge.payload;
+              shipped;
+              minimal;
+            }
+          in
+          emit report;
+          ( S.set store key mine,
+            { e_key = key; e_item = theirs } :: results,
+            report :: reports )
+      | Some f, None -> (
+          match Smap.find_opt key received with
+          | None ->
+              (* requested but not delivered: skip, no charge *)
+              (store, results, reports)
+          | Some item ->
+              (* initiator-only entry: fork it, keep the peer branch *)
               let mine, theirs = config.replicate item in
               let charge =
                 {
-                  meta_a = S.meta_bytes (S.meta_of item);
+                  meta_a = S.meta_bytes f.f_meta;
                   meta_b = 0;
                   payload = S.payload_bytes item;
                 }
@@ -161,91 +199,76 @@ module Make (S : STORE) = struct
                 }
               in
               emit report;
-              ( S.set store key mine,
-                { e_key = key; e_item = theirs } :: results,
-                report :: reports )
-          | Some f, None -> (
-              match Smap.find_opt key received with
-              | None ->
-                  (* requested but not delivered: skip, no charge *)
-                  (store, results, reports)
-              | Some item ->
-                  (* initiator-only entry: fork it, keep the peer branch *)
-                  let mine, theirs = config.replicate item in
+              ( S.set store key theirs,
+                { e_key = key; e_item = mine } :: results,
+                report :: reports ))
+      | Some f, Some mine_item -> (
+          let reconcile_with item_a =
+            let v = config.reconcile ~key item_a mine_item in
+            let shipped, minimal = delta v.outcome v.charge in
+            let report =
+              {
+                key;
+                relation = Some v.relation;
+                outcome = v.outcome;
+                payload = v.charge.payload;
+                shipped;
+                minimal;
+              }
+            in
+            emit report;
+            ( S.set store key v.item_b,
+              { e_key = key; e_item = v.item_a } :: results,
+              report :: reports )
+          in
+          match Smap.find_opt key received with
+          | Some item_a -> reconcile_with item_a
+          | None -> (
+              match S.relation f.f_meta (S.meta_of mine_item) with
+              | Relation.Dominated ->
+                  (* we dominate: rebuild the initiator's side from
+                     the frontier alone — propagation never reads
+                     the dominated payload *)
+                  reconcile_with (S.of_meta ~key f.f_meta)
+              | rel ->
+                  (* observationally equal (matching digest): the
+                     exchange is elided, only metadata compared *)
                   let charge =
                     {
                       meta_a = S.meta_bytes f.f_meta;
-                      meta_b = 0;
-                      payload = S.payload_bytes item;
+                      meta_b = S.meta_bytes (S.meta_of mine_item);
+                      payload = 0;
                     }
                   in
-                  let shipped, minimal = delta Created charge in
+                  let shipped, minimal = delta Unchanged charge in
                   let report =
                     {
                       key;
-                      relation = None;
-                      outcome = Created;
-                      payload = charge.payload;
+                      relation = Some rel;
+                      outcome = Unchanged;
+                      payload = 0;
                       shipped;
                       minimal;
                     }
                   in
                   emit report;
-                  ( S.set store key theirs,
-                    { e_key = key; e_item = mine } :: results,
-                    report :: reports ))
-          | Some f, Some mine_item -> (
-              let reconcile_with item_a =
-                let v = config.reconcile ~key item_a mine_item in
-                let shipped, minimal = delta v.outcome v.charge in
-                let report =
-                  {
-                    key;
-                    relation = Some v.relation;
-                    outcome = v.outcome;
-                    payload = v.charge.payload;
-                    shipped;
-                    minimal;
-                  }
-                in
-                emit report;
-                ( S.set store key v.item_b,
-                  { e_key = key; e_item = v.item_a } :: results,
-                  report :: reports )
-              in
-              match Smap.find_opt key received with
-              | Some item_a -> reconcile_with item_a
-              | None -> (
-                  match S.relation f.f_meta (S.meta_of mine_item) with
-                  | Relation.Dominated ->
-                      (* we dominate: rebuild the initiator's side from
-                         the frontier alone — propagation never reads
-                         the dominated payload *)
-                      reconcile_with (S.of_meta ~key f.f_meta)
-                  | rel ->
-                      (* observationally equal (matching digest): the
-                         exchange is elided, only metadata compared *)
-                      let charge =
-                        {
-                          meta_a = S.meta_bytes f.f_meta;
-                          meta_b = S.meta_bytes (S.meta_of mine_item);
-                          payload = 0;
-                        }
-                      in
-                      let shipped, minimal = delta Unchanged charge in
-                      let report =
-                        {
-                          key;
-                          relation = Some rel;
-                          outcome = Unchanged;
-                          payload = 0;
-                          shipped;
-                          minimal;
-                        }
-                      in
-                      emit report;
-                      (store, results, report :: reports))))
-        (store, [], []) all_keys
+                  (store, results, report :: reports)))
+    in
+    (* Merge the offer with the store's keys, both ascending: the
+       sorted union, each key once. *)
+    let rec walk acc offered keys =
+      match (offered, keys) with
+      | [], [] -> acc
+      | f :: fs, k :: ks ->
+          let c = String.compare f.f_key k in
+          if c = 0 then walk (step acc k (Some f)) fs ks
+          else if c < 0 then walk (step acc f.f_key (Some f)) fs keys
+          else walk (step acc k None) offered ks
+      | f :: fs, [] -> walk (step acc f.f_key (Some f)) fs []
+      | [], k :: ks -> walk (step acc k None) [] ks
+    in
+    let store, results_rev, reports_rev =
+      walk (store, [], []) (normalise frontier) (S.keys store)
     in
     (store, List.rev results_rev, List.rev reports_rev)
 

@@ -157,7 +157,13 @@ module Make (S : STORE) : sig
       phantom dominated entries, replicating one-sided ones, and
       skipping observationally equal ones.  Returns the updated store,
       the initiator's halves (leg 5's payload), and one report per key
-      in sorted order.  Every report is charged to [ledger]/[tally]. *)
+      in sorted order.  Every report is charged to [ledger]/[tally].
+
+      The walk is one merge of the frontier with {!STORE.keys}, so it
+      costs one [find] per key of the union.  The frontier may come in
+      any order: one that is not strictly ascending is sorted first,
+      and of several entries for one key the last wins.  Items for keys
+      the frontier does not offer are ignored. *)
 
   val apply : S.t -> entry list -> S.t
   (** Final leg (initiator): adopt the responder's results. *)

@@ -2,8 +2,9 @@
 # Networked anti-entropy smoke: boot three `vstamp serve` nodes on
 # ephemeral loopback ports (cascade mesh: each node dials the nodes
 # booted before it), seed one disjoint write per node, wait until the
-# HTTP planes report equal store digests on all three, then kill one
-# node and watch a survivor's /peers.json report the reconnect
+# HTTP planes report equal store digests on all three, check that each
+# node's /metrics digest is the exact integer of its /peers.json, then
+# kill one node and watch a survivor's /peers.json report the reconnect
 # backoff.  Finally, graceful shutdown.  Wired to the @net-smoke dune
 # alias (see the root dune file); not part of @runtest because it runs
 # three real servers for a few seconds.  It first checks that an
@@ -95,6 +96,22 @@ while :; do
   [ "$i" -gt 100 ] && {
     echo "cluster never converged: '$d0' / '$d1' / '$d2'" >&2; exit 1; }
   sleep 0.1
+done
+
+# the digest prints exactly: the float gauge writes an integral value
+# below 1e16 in full and anything else with an exponent, so each node's
+# /metrics digest must be a plain integer equal to its /peers.json
+# store_digest (a digest wider than 53 bits fails one or the other)
+for http in "$http0" "$http1" "$http2"; do
+  m=$(digest "$http")
+  p=$(scrape "$http" /peers.json \
+    | sed -n 's/.*"store_digest":\([^,}]*\).*/\1/p')
+  case "$m" in
+    '' | *[!0-9]*)
+      echo "net_store_digest '$m' is not a plain integer" >&2; exit 1 ;;
+  esac
+  [ "$m" = "$p" ] || {
+    echo "net_store_digest $m, /peers.json store_digest $p" >&2; exit 1; }
 done
 
 # the net metric families are live and clean on a converged node

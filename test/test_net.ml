@@ -168,6 +168,88 @@ let test_two_nodes_converge () =
           check_int "minimal delta unchanged" s0
             (counter ra "net_sync_minimal_bytes_total")))
 
+(* --- the store digest --- *)
+
+let fill n ~last =
+  for k = 0 to 63 do
+    N.put n ~key:(Printf.sprintf "k%03d" k) (if k = 63 then last else "v")
+  done
+
+let test_digest_sees_every_key () =
+  with_node ~registry:(Registry.create ()) ~node_id:"a" (fun a ->
+      with_node ~registry:(Registry.create ()) ~node_id:"b" (fun b ->
+          fill a ~last:"x";
+          fill b ~last:"y";
+          check_bool "k063 alone differs, the digests differ" true
+            (N.digest a <> N.digest b)))
+
+(* Same content, different stamps: after the bootstrap round the two
+   copies of [k] hold forked ids, and each side rewrites [k] on its own
+   (b twice), so the writes are concurrent. *)
+let test_digest_ignores_history () =
+  with_node ~registry:(Registry.create ()) ~node_id:"a" (fun a ->
+      with_node ~registry:(Registry.create ())
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        ~node_id:"b"
+        (fun b ->
+          N.put a ~key:"k" "base";
+          N.put a ~key:"j" "1";
+          check_int "bootstrap round" 1 (N.sync_now b);
+          N.put a ~key:"k" "v";
+          N.put b ~key:"k" "w";
+          N.put b ~key:"k" "v";
+          check_bool "equal content, equal digests" true
+            (N.digest a = N.digest b);
+          check_int "concurrent round" 1 (N.sync_now b);
+          Alcotest.(check (list string)) "one candidate" [ "v" ] (N.get a "k");
+          check_bool "still equal after the round" true
+            (N.digest a = N.digest b)))
+
+let prometheus_line r name =
+  List.find_opt
+    (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+    (String.split_on_char '\n' (Registry.to_prometheus r))
+
+(* The gauges the O(1) refresh publishes, checked against the node's
+   own readers after a seeded mix of puts and rounds on three nodes:
+   the key count exactly, and the digest as a plain integer below
+   2^53, so the float gauge prints it exactly. *)
+let test_store_gauges_exact () =
+  let ra = Registry.create ()
+  and rb = Registry.create ()
+  and rc = Registry.create () in
+  with_node ~registry:ra ~node_id:"a" (fun a ->
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          with_node ~registry:rc ~node_id:"c"
+            ~peers:(fun () ->
+              [ ("127.0.0.1", N.port a); ("127.0.0.1", N.port b) ])
+            (fun c ->
+              let nodes = [| a; b; c |] in
+              let st = Random.State.make [| 19 |] in
+              for _ = 1 to 60 do
+                let n = nodes.(Random.State.int st 3) in
+                if Random.State.int st 4 = 0 then ignore (N.sync_now n)
+                else
+                  N.put n
+                    ~key:(Printf.sprintf "k%02d" (Random.State.int st 12))
+                    (Printf.sprintf "v%d" (Random.State.int st 5))
+              done;
+              List.iter
+                (fun (name, n, r) ->
+                  let keys = Registry.gauge r "net_store_keys" in
+                  check_int (name ^ ": net_store_keys")
+                    (List.length (N.keys n))
+                    (int_of_float (Metric.value keys));
+                  check_bool (name ^ ": digest below 2^53") true
+                    (N.digest n >= 0 && N.digest n < 1 lsl 53);
+                  Alcotest.(check (option string))
+                    (name ^ ": net_store_digest prints the digest")
+                    (Some ("net_store_digest " ^ string_of_int (N.digest n)))
+                    (prometheus_line r "net_store_digest"))
+                [ ("a", a, ra); ("b", b, rb); ("c", c, rc) ])))
+
 let drain_read fd =
   let b = Bytes.create 256 in
   let rec go n =
@@ -458,6 +540,12 @@ let () =
       ( "nodes",
         [
           Alcotest.test_case "two nodes converge" `Quick test_two_nodes_converge;
+          Alcotest.test_case "digest sees every key" `Quick
+            test_digest_sees_every_key;
+          Alcotest.test_case "digest ignores history" `Quick
+            test_digest_ignores_history;
+          Alcotest.test_case "store gauges exact" `Quick
+            test_store_gauges_exact;
           Alcotest.test_case "handshake version rejected" `Quick
             test_handshake_version_rejected;
           Alcotest.test_case "garbage frame rejected" `Quick

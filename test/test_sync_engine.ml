@@ -3,7 +3,8 @@
    (offer / wants / fulfil / reconcile / apply, what [Vstamp_net] ships
    between processes) produces stores identical to the in-process
    [Stamped_kv.sync], while never shipping more than a full-state
-   exchange of the two replicas. *)
+   exchange of the two replicas.  The merge-walk [reconcile] is checked
+   against the reconcile it replaced, on frontiers in any order. *)
 
 open Vstamp_kvs
 module Ledger = Vstamp_sync.Ledger
@@ -172,6 +173,318 @@ let prop_wire_idempotent =
       let a', b', tally = wire_session a b in
       state a = state a' && state b = state b' && tally.Ledger.minimal = 0)
 
+(* --- the merge walk against the reference reconcile --- *)
+
+module Engine = Vstamp_sync.Engine
+module Reg = Vstamp_crdt.Mv_register.Make (St)
+module Smap = Map.Make (String)
+
+(* A store shaped like [Stamped_kv]'s engine adapter: the engine sees a
+   store only through [STORE], so the walk is checked on this one. *)
+module Ts = struct
+  type t = string Reg.t Smap.t
+
+  type item = string Reg.t
+
+  type meta = St.t
+
+  let keys t = List.map fst (Smap.bindings t)
+
+  let find t key = Smap.find_opt key t
+
+  let set t key item = Smap.add key item t
+
+  let meta_of = Reg.stamp
+
+  let relation = St.relation
+
+  let meta_bytes = meta_bytes
+
+  let payload_bytes r =
+    List.fold_left (fun n v -> n + String.length v) 0 (Reg.read r)
+
+  let digest r =
+    Digest.string (String.concat "\x00" (List.sort compare (Reg.read r)))
+
+  let of_meta ~key:_ m = Reg.restore ~stamp:m []
+end
+
+(* The engine's [reconcile] before the merge walk, kept verbatim as the
+   reference: it maps the offer, sorts the union of the offered and the
+   stored keys, and looks every key up in both. *)
+module Reconcile_ref (S : Engine.STORE) = struct
+  open Vstamp_core
+  open Engine
+  open Make (S)
+
+  let charge_for ledger tally on_report report =
+    (match ledger with
+    | Some c -> Ledger.account c ~shipped:report.shipped ~minimal:report.minimal
+    | None -> ());
+    (match tally with
+    | Some t -> Ledger.add t ~shipped:report.shipped ~minimal:report.minimal
+    | None -> ());
+    match on_report with Some f -> f report | None -> ()
+
+  let reconcile ?ledger ?tally ?on_report config store frontier items =
+    let offered =
+      List.fold_left (fun m f -> Smap.add f.f_key f m) Smap.empty frontier
+    in
+    let received =
+      List.fold_left (fun m e -> Smap.add e.e_key e.e_item m) Smap.empty items
+    in
+    let all_keys =
+      List.sort_uniq String.compare
+        (List.map (fun f -> f.f_key) frontier @ S.keys store)
+    in
+    let emit report = charge_for ledger tally on_report report in
+    let store, results_rev, reports_rev =
+      List.fold_left
+        (fun (store, results, reports) key ->
+          match (Smap.find_opt key offered, S.find store key) with
+          | None, None -> (store, results, reports)
+          | None, Some item ->
+              (* responder-only entry: replicate it for the initiator *)
+              let mine, theirs = config.replicate item in
+              let charge =
+                {
+                  meta_a = S.meta_bytes (S.meta_of item);
+                  meta_b = 0;
+                  payload = S.payload_bytes item;
+                }
+              in
+              let shipped, minimal = delta Created charge in
+              let report =
+                {
+                  key;
+                  relation = None;
+                  outcome = Created;
+                  payload = charge.payload;
+                  shipped;
+                  minimal;
+                }
+              in
+              emit report;
+              ( S.set store key mine,
+                { e_key = key; e_item = theirs } :: results,
+                report :: reports )
+          | Some f, None -> (
+              match Smap.find_opt key received with
+              | None ->
+                  (* requested but not delivered: skip, no charge *)
+                  (store, results, reports)
+              | Some item ->
+                  (* initiator-only entry: fork it, keep the peer branch *)
+                  let mine, theirs = config.replicate item in
+                  let charge =
+                    {
+                      meta_a = S.meta_bytes f.f_meta;
+                      meta_b = 0;
+                      payload = S.payload_bytes item;
+                    }
+                  in
+                  let shipped, minimal = delta Created charge in
+                  let report =
+                    {
+                      key;
+                      relation = None;
+                      outcome = Created;
+                      payload = charge.payload;
+                      shipped;
+                      minimal;
+                    }
+                  in
+                  emit report;
+                  ( S.set store key theirs,
+                    { e_key = key; e_item = mine } :: results,
+                    report :: reports ))
+          | Some f, Some mine_item -> (
+              let reconcile_with item_a =
+                let v = config.reconcile ~key item_a mine_item in
+                let shipped, minimal = delta v.outcome v.charge in
+                let report =
+                  {
+                    key;
+                    relation = Some v.relation;
+                    outcome = v.outcome;
+                    payload = v.charge.payload;
+                    shipped;
+                    minimal;
+                  }
+                in
+                emit report;
+                ( S.set store key v.item_b,
+                  { e_key = key; e_item = v.item_a } :: results,
+                  report :: reports )
+              in
+              match Smap.find_opt key received with
+              | Some item_a -> reconcile_with item_a
+              | None -> (
+                  match S.relation f.f_meta (S.meta_of mine_item) with
+                  | Relation.Dominated ->
+                      (* we dominate: rebuild the initiator's side from
+                         the frontier alone — propagation never reads
+                         the dominated payload *)
+                      reconcile_with (S.of_meta ~key f.f_meta)
+                  | rel ->
+                      (* observationally equal (matching digest): the
+                         exchange is elided, only metadata compared *)
+                      let charge =
+                        {
+                          meta_a = S.meta_bytes f.f_meta;
+                          meta_b = S.meta_bytes (S.meta_of mine_item);
+                          payload = 0;
+                        }
+                      in
+                      let shipped, minimal = delta Unchanged charge in
+                      let report =
+                        {
+                          key;
+                          relation = Some rel;
+                          outcome = Unchanged;
+                          payload = 0;
+                          shipped;
+                          minimal;
+                        }
+                      in
+                      emit report;
+                      (store, results, report :: reports))))
+        (store, [], []) all_keys
+    in
+    (store, List.rev results_rev, List.rev reports_rev)
+end
+
+module E = Engine.Make (Ts)
+module Ref = Reconcile_ref (Ts)
+
+let config =
+  {
+    E.reconcile =
+      (fun ~key:_ ra rb ->
+        let relation = Reg.relation ra rb in
+        let payload =
+          match relation with
+          | Vstamp_core.Relation.Equal -> 0
+          | Dominates -> Ts.payload_bytes ra
+          | Dominated -> Ts.payload_bytes rb
+          | Concurrent -> Ts.payload_bytes ra + Ts.payload_bytes rb
+        in
+        let ra', rb' = Reg.sync ra rb in
+        {
+          E.item_a = ra';
+          item_b = rb';
+          relation;
+          outcome = Engine.outcome_of_relation relation;
+          charge =
+            {
+              Engine.meta_a = meta_bytes (Reg.stamp ra);
+              meta_b = meta_bytes (Reg.stamp rb);
+              payload;
+            };
+        });
+    replicate = Reg.fork;
+  }
+
+let ts_put s (k, v) =
+  Ts.set s k
+    (match Ts.find s k with Some r -> Reg.write r v | None -> Reg.create v)
+
+let ts_build s ops = List.fold_left ts_put s ops
+
+let ts_state s =
+  List.map (fun (k, r) -> (k, Reg.stamp r, Reg.read r)) (Smap.bindings s)
+
+let entries es =
+  List.map (fun e -> (e.E.e_key, Reg.stamp e.E.e_item, Reg.read e.E.e_item)) es
+
+let shuffle st l =
+  List.map snd
+    (List.stable_sort
+       (fun (x, _) (y, _) -> Int.compare x y)
+       (List.map (fun x -> (Random.State.bits st, x)) l))
+
+(* The frontier a peer might send: as offered (ascending), shuffled,
+   with a second entry for some keys next to the current one (the
+   responder's own entry, or the initiator's from before its writes),
+   or both; with [extra], some offered keys are dropped from the
+   frontier but still sent as items, together with an item for a key
+   nobody holds. *)
+let peer_input st ~shape ~extra a0 a b =
+  let current = E.offer a in
+  let other f =
+    List.find_opt
+      (fun g -> g.E.f_key = f.E.f_key)
+      (if Random.State.bool st then E.offer b else E.offer a0)
+  in
+  let dropped =
+    if extra then
+      List.filter_map
+        (fun f -> if Random.State.bool st then Some f.E.f_key else None)
+        current
+    else []
+  in
+  let offered =
+    List.filter (fun f -> not (List.mem f.E.f_key dropped)) current
+  in
+  let duplicated =
+    List.concat_map
+      (fun f ->
+        match other f with
+        | Some g when Random.State.bool st ->
+            if Random.State.bool st then [ g; f ] else [ f; g ]
+        | _ -> [ f ])
+      offered
+  in
+  let frontier =
+    match shape with
+    | 0 -> offered
+    | 1 -> shuffle st offered
+    | 2 -> duplicated
+    | _ -> shuffle st duplicated
+  in
+  let items = E.fulfil a (E.wants b frontier) in
+  let items =
+    if extra then
+      items
+      @ E.fulfil a dropped
+      @ [ { E.e_key = "zeta"; e_item = Reg.create "z" } ]
+    else items
+  in
+  (frontier, items)
+
+let gen_reconcile_case =
+  QCheck2.Gen.(quad gen_scenario (int_bound 3) bool int)
+
+let print_reconcile_case (scenario, shape, extra, seed) =
+  Printf.sprintf "%s shape %d extra %b seed %d" (print_scenario scenario)
+    shape extra seed
+
+let prop_reconcile_matches_reference =
+  QCheck2.Test.make ~name:"merge-walk reconcile = the reference" ~count:500
+    ~print:print_reconcile_case gen_reconcile_case
+    (fun ((base, ops_a, ops_b), shape, extra, seed) ->
+      let s0 = ts_build Smap.empty base in
+      let a0, b0, _ = E.session config s0 Smap.empty in
+      let a = ts_build a0 ops_a and b = ts_build b0 ops_b in
+      let st = Random.State.make [| seed |] in
+      let frontier, items = peer_input st ~shape ~extra a0 a b in
+      let run reconcile =
+        let tally = Ledger.create () in
+        let heard = ref [] in
+        let store, results, reports =
+          reconcile ~tally ~on_report:(fun r -> heard := r :: !heard)
+        in
+        ( ts_state store,
+          entries results,
+          reports,
+          List.rev !heard,
+          (tally.Ledger.shipped, tally.Ledger.minimal, tally.Ledger.entries) )
+      in
+      run (fun ~tally ~on_report ->
+          E.reconcile ~tally ~on_report config b frontier items)
+      = run (fun ~tally ~on_report ->
+            Ref.reconcile ~tally ~on_report config b frontier items))
+
 let () =
   Alcotest.run "sync engine"
     [
@@ -190,5 +503,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_wire_equivalence; prop_wire_idempotent ] );
+          [
+            prop_wire_equivalence;
+            prop_wire_idempotent;
+            prop_reconcile_matches_reference;
+          ] );
     ]
