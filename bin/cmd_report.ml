@@ -29,6 +29,18 @@ let report_points_of_json j =
         pts
   | _ -> []
 
+(* One /range.json answer as a series; [None] when it has no points. *)
+let report_series_of_json metric j =
+  match report_points_of_json j with
+  | [] -> None
+  | points ->
+      let kind =
+        match Option.bind (Jx.member "kind" j) Jx.to_str with
+        | Some k -> k
+        | None -> "?"
+      in
+      Some { rs_name = metric; rs_kind = kind; rs_points = points }
+
 let report_series_live live ~port ~window_s ~step_s =
   let fetch path = fetch_json live ~port path in
   let index =
@@ -48,24 +60,15 @@ let report_series_live live ~port ~window_s ~step_s =
                step_s metric)
         with
         | Error _ -> None
-        | Ok j -> (
-            match report_points_of_json j with
-            | [] -> None
-            | points ->
-                let kind =
-                  match Option.bind (Jx.member "kind" j) Jx.to_str with
-                  | Some k -> k
-                  | None -> "?"
-                in
-                Some { rs_name = metric; rs_kind = kind; rs_points = points }))
+        | Ok j -> report_series_of_json metric j)
       metrics
   in
   (series, Result.to_option (fetch "/alerts.json"))
 
 let report_series_dump ~file ~window_s ~step_s =
   let json =
-    match read_file file with
-    | Error (`Msg m) -> die "%s: %s" file m
+    match Jsonl.read_file file with
+    | Error m -> die "%s: %s" file m
     | Ok text -> (
         match Jx.of_string (String.trim text) with
         | Ok j -> j
@@ -88,36 +91,8 @@ let report_series_dump ~file ~window_s ~step_s =
             in
             List.filter_map
               (fun name ->
-                match
-                  Obs_tsdb.query tsdb ~metric:name ~from_s ~to_s ~step_s
-                with
-                | [] -> None
-                | points ->
-                    let kind =
-                      match Obs_tsdb.series_kind tsdb name with
-                      | Some Obs_tsdb.Counter -> "counter"
-                      | Some Obs_tsdb.Gauge -> "gauge"
-                      | Some Obs_tsdb.Histogram -> "histogram"
-                      | None -> "?"
-                    in
-                    Some
-                      {
-                        rs_name = name;
-                        rs_kind = kind;
-                        rs_points =
-                          List.map
-                            (fun p ->
-                              ( p.Obs_tsdb.t_s,
-                                p.Obs_tsdb.min,
-                                p.Obs_tsdb.max,
-                                (if p.Obs_tsdb.count = 0 then 0.0
-                                 else
-                                   p.Obs_tsdb.sum
-                                   /. float_of_int p.Obs_tsdb.count),
-                                p.Obs_tsdb.last,
-                                p.Obs_tsdb.count ))
-                            points;
-                      })
+                report_series_of_json name
+                  (Obs_tsdb.range_json tsdb ~metric:name ~from_s ~to_s ~step_s))
               (Obs_tsdb.names tsdb)
       in
       (series, alerts)
@@ -337,8 +312,8 @@ let report_cluster dir output =
     List.iter
       (fun f ->
         let name = Filename.chop_suffix f ".tsdb.json" in
-        match read_file (Filename.concat dir f) with
-        | Error (`Msg m) -> out "| `%s` | (unreadable: %s) | - |\n" name m
+        match Jsonl.read_file (Filename.concat dir f) with
+        | Error m -> out "| `%s` | (unreadable: %s) | - |\n" name m
         | Ok text -> (
             match Jx.of_string (String.trim text) with
             | Error m -> out "| `%s` | (bad JSON: %s) | - |\n" name m

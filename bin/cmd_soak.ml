@@ -143,8 +143,8 @@ let soak port addr duration iterations n_ops seed backend sampling
     match rules_file with
     | None -> None
     | Some file -> (
-        match read_file file with
-        | Error (`Msg m) -> die "--rules %s: %s" file m
+        match Jsonl.read_file file with
+        | Error m -> die "--rules %s: %s" file m
         | Ok text -> (
             match Vstamp_obs.Alert.parse_rules text with
             | Ok rs -> Some rs
@@ -550,7 +550,7 @@ let soak_cluster n port addr duration iterations n_ops seed backend quiet
     let deadline = Unix.gettimeofday () +. 15.0 in
     let rec go () =
       let p =
-        match read_file file with
+        match Jsonl.read_file file with
         | Ok s -> int_of_string_opt (String.trim s)
         | Error _ -> None
       in

@@ -9,8 +9,8 @@ open Common
 module CT = Vstamp_obs.Causal_trace
 
 let load_causal file =
-  match read_file file with
-  | Error (`Msg m) -> die "%s: %s" file m
+  match Jsonl.read_file file with
+  | Error m -> die "%s: %s" file m
   | Ok s -> (
       match CT.of_jsonl s with
       | Ok tr -> tr

@@ -9,6 +9,7 @@ open Vstamp_core
 open Vstamp_sim
 module HE = Vstamp_obs.Http_export
 module Jx = Vstamp_obs.Jsonx
+module Jsonl = Vstamp_obs.Jsonl
 module Tmerge = Vstamp_obs.Trace_merge
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "error: %s@." m; exit 1) fmt
@@ -21,14 +22,6 @@ let exit_on_violation f =
   with System.Invariant_violation _ as e ->
     Format.eprintf "error: %s@." (Printexc.to_string e);
     exit 2
-
-let read_file file =
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error m -> Error (`Msg m)
 
 (* Data goes to [output] verbatim (byte-identity matters for replay), or
    to stdout when no file is given; progress chatter only ever goes to

@@ -38,8 +38,6 @@ type t = {
   lock : Mutex.t;
 }
 
-let violations_prefix = "vstamp_invariant_violations_total"
-
 let op_to_string = function
   | Gt -> ">"
   | Lt -> "<"
@@ -75,7 +73,7 @@ let state_to_string = function
 
 let duration_of_string s =
   let num, scale =
-    if String.length s > 2 && String.sub s (String.length s - 2) 2 = "ms" then
+    if String.ends_with ~suffix:"ms" s then
       (String.sub s 0 (String.length s - 2), 0.001)
     else if String.length s > 1 then
       match s.[String.length s - 1] with
@@ -99,8 +97,8 @@ let fn_arg ~fn token =
   let lp = String.length prefix in
   if
     String.length token > lp + 1
-    && String.sub token 0 lp = prefix
-    && token.[String.length token - 1] = ')'
+    && String.starts_with ~prefix token
+    && String.ends_with ~suffix:")" token
   then Some (String.sub token lp (String.length token - lp - 1))
   else None
 
@@ -191,23 +189,7 @@ let rule_to_string r =
 (* {1 Engine} *)
 
 let metric_value registry name =
-  match Registry.find registry name with
-  | Some (Registry.Counter c) -> Some (float_of_int (Metric.count c))
-  | Some (Registry.Gauge g) -> Some (Metric.value g)
-  | Some (Registry.Histogram h) -> Some (float_of_int (Metric.observations h))
-  | None -> None
-
-let sum_violations registry =
-  List.fold_left
-    (fun acc (name, m) ->
-      match m with
-      | Registry.Counter c
-        when String.length name >= String.length violations_prefix
-             && String.sub name 0 (String.length violations_prefix)
-                = violations_prefix ->
-          acc +. float_of_int (Metric.count c)
-      | _ -> acc)
-    0. (Registry.snapshot registry)
+  Option.map Registry.value (Registry.find registry name)
 
 let create ?(registry = Registry.default) ?(sink = Sink.null) rules =
   let rts =
@@ -233,7 +215,7 @@ let create ?(registry = Registry.default) ?(sink = Sink.null) rules =
     registry;
     sink;
     rts;
-    inv_baseline = sum_violations registry;
+    inv_baseline = float_of_int (Monitor.violations_total registry);
     evals = 0;
     trans = Array.make 256 None;
     trans_head = 0;
@@ -295,7 +277,7 @@ let eval_cond t rt ~now_s =
           rt.prev_t <- now_s;
           (stale, Some v))
   | Invariant_violation ->
-      let v = sum_violations t.registry in
+      let v = float_of_int (Monitor.violations_total t.registry) in
       (v > t.inv_baseline, Some (v -. t.inv_baseline))
 
 let eval ?now_s t =

@@ -13,9 +13,8 @@
       METRIC OP VALUE           threshold on the current value
       rate(METRIC) OP VALUE     per-second rate between evaluations
       absent(METRIC)            metric missing, or not increasing
-      invariant_violation       any vstamp_invariant_violations_total
-                                counter increased since the engine
-                                started
+      invariant_violation       any Monitor violation counter
+                                increased since the engine started
 
     OP       := > | < | >= | <= | == | !=
     DURATION := <float><ms|s|m|h>     e.g. 500ms, 5s, 2m, 1h

@@ -2,28 +2,17 @@ type run = Jsonx.t
 
 let schema_prefix = "vstamp-bench-core/"
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let of_json j =
   match Jsonx.member "schema" j with
-  | Some (Jsonx.String s) when has_prefix ~prefix:schema_prefix s -> Ok j
+  | Some (Jsonx.String s) when String.starts_with ~prefix:schema_prefix s ->
+      Ok j
   | Some (Jsonx.String s) ->
       Error (Printf.sprintf "unrecognized bench schema %S" s)
   | Some _ -> Error "bench run: schema field is not a string"
   | None -> Error "bench run: missing schema field"
 
-let read_file file =
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error m -> Error m
-
 let load ~file =
-  match read_file file with
+  match Jsonl.read_file file with
   | Error m -> Error (Printf.sprintf "%s: %s" file m)
   | Ok s -> (
       match Jsonx.of_string (String.trim s) with
@@ -63,22 +52,7 @@ let append ~file json =
       output_string oc (Jsonx.to_string json);
       output_char oc '\n')
 
-let history ~file =
-  match read_file file with
-  | Error m -> Error (Printf.sprintf "%s: %s" file m)
-  | Ok s ->
-      let lines = String.split_on_char '\n' s in
-      let rec go lineno acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-            if String.trim line = "" then go (lineno + 1) acc rest
-            else (
-              match Jsonx.of_string line with
-              | Ok j -> go (lineno + 1) (j :: acc) rest
-              | Error m ->
-                  Error (Printf.sprintf "%s:%d: %s" file lineno m))
-      in
-      go 1 [] lines
+let history ~file = Jsonl.load Jsonx.of_string file
 
 (* --- comparison --- *)
 

@@ -44,8 +44,9 @@ val append : file:string -> Jsonx.t -> unit
     needed. *)
 
 val history : file:string -> (Jsonx.t list, string) result
-(** All ledger entries, oldest first.  Blank lines are tolerated; a
-    malformed line is an error naming its line number. *)
+(** All ledger entries, oldest first, read by {!Jsonl.load}: blank
+    lines are tolerated, and a malformed line is an error
+    ["FILE:N: msg"] naming its line number. *)
 
 (** {1 Comparison} *)
 

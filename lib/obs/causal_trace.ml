@@ -58,11 +58,6 @@ let node t id =
   if id < 0 || id >= t.next then None
   else Some (List.nth t.rev_nodes (t.next - 1 - id))
 
-let node_exn t id =
-  match node t id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Causal_trace: unknown node %d" id)
-
 let node_equal a b =
   a.id = b.id && a.step = b.step && a.kind = b.kind && a.parents = b.parents
   && a.replica = b.replica
@@ -191,37 +186,9 @@ let to_jsonl t =
   String.concat ""
     (List.map (fun e -> Event.to_string e ^ "\n") (to_events t))
 
-let of_jsonl input =
-  let lines =
-    String.split_on_char '\n' input
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match Event.of_string l with
-        | Ok e -> parse (e :: acc) rest
-        | Error m -> Error (Printf.sprintf "bad trace line: %s" m))
-  in
-  Result.bind (parse [] lines) of_events
+let of_jsonl input = Result.bind (Jsonl.parse Event.of_string input) of_events
 
 (* --- Graphviz DOT --- *)
-
-(* Inside a double-quoted DOT string only '"' and '\\' are significant;
-   newlines are folded to the DOT escape so one label is one line. *)
-let dot_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> ()
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let dot_shape = function
   | Seed -> "doublecircle"
@@ -239,8 +206,8 @@ let to_dot t =
       Buffer.add_string buf
         (Printf.sprintf "  n%d [label=\"#%d %s @%d\\n%s\" shape=%s];\n" n.id
            n.id
-           (dot_escape (kind_to_string n.kind))
-           n.step (dot_escape n.label) (dot_shape n.kind)))
+           (Dot.escape (kind_to_string n.kind))
+           n.step (Dot.escape n.label) (dot_shape n.kind)))
     (nodes t);
   List.iter
     (fun n ->
@@ -255,61 +222,33 @@ let to_dot t =
 
 let to_chrome t =
   let slice n =
-    Jsonx.Obj
-      [
-        ("name", Jsonx.String (kind_to_string n.kind));
-        ("cat", Jsonx.String "replica");
-        ("ph", Jsonx.String "X");
-        ("ts", Jsonx.Int n.step);
-        ("dur", Jsonx.Int 1);
-        ("pid", Jsonx.Int 0);
-        ("tid", Jsonx.Int n.replica);
-        ( "args",
-          Jsonx.Obj
-            [
-              ("node", Jsonx.Int n.id);
-              ("label", Jsonx.String n.label);
-              ( "parents",
-                Jsonx.List (List.map (fun p -> Jsonx.Int p) n.parents) );
-            ] );
-      ]
+    {
+      Chrome.name = kind_to_string n.kind;
+      cat = "replica";
+      ts = n.step;
+      dur = 1;
+      pid = 0;
+      tid = n.replica;
+      args =
+        [
+          ("node", Jsonx.Int n.id);
+          ("label", Jsonx.String n.label);
+          ("parents", Jsonx.List (List.map (fun p -> Jsonx.Int p) n.parents));
+        ];
+    }
   in
-  let flow_events =
+  let slices = Array.of_list (List.map slice (nodes t)) in
+  let flows =
     List.concat_map
       (fun n ->
         List.mapi
           (fun k p ->
-            let parent = node_exn t p in
-            let flow_id = (n.id * 4) + k in
-            [
-              Jsonx.Obj
-                [
-                  ("name", Jsonx.String "causal");
-                  ("cat", Jsonx.String "causal");
-                  ("ph", Jsonx.String "s");
-                  ("id", Jsonx.Int flow_id);
-                  ("ts", Jsonx.Int parent.step);
-                  ("pid", Jsonx.Int 0);
-                  ("tid", Jsonx.Int parent.replica);
-                ];
-              Jsonx.Obj
-                [
-                  ("name", Jsonx.String "causal");
-                  ("cat", Jsonx.String "causal");
-                  ("ph", Jsonx.String "f");
-                  ("bp", Jsonx.String "e");
-                  ("id", Jsonx.Int flow_id);
-                  ("ts", Jsonx.Int n.step);
-                  ("pid", Jsonx.Int 0);
-                  ("tid", Jsonx.Int n.replica);
-                ];
-            ])
-          n.parents
-        |> List.concat)
+            {
+              Chrome.id = (n.id * 4) + k;
+              src = slices.(p);
+              dst = slices.(n.id);
+            })
+          n.parents)
       (nodes t)
   in
-  Jsonx.Obj
-    [
-      ("traceEvents", Jsonx.List (List.map slice (nodes t) @ flow_events));
-      ("displayTimeUnit", Jsonx.String "ms");
-    ]
+  Chrome.trace ~lanes:[] ~flows (Array.to_list slices)

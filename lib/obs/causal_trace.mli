@@ -92,19 +92,21 @@ val to_jsonl : t -> string
 (** One event per line, trailing newline included. *)
 
 val of_jsonl : string -> (t, string) result
-(** Parses {!to_jsonl} output; blank lines are ignored. *)
+(** Parses {!to_jsonl} output through {!Jsonl.parse}: blank lines are
+    ignored, and a malformed line is an error naming its number. *)
 
 (** {1 Graphviz DOT} *)
 
 val to_dot : t -> string
-(** A [digraph] with one node per DAG node (label escaped — quotes,
-    backslashes and newlines in stamp text cannot break the syntax) and
-    one edge per parent link. *)
+(** A [digraph] with one node per DAG node (label escaped by
+    {!Dot.escape}, so quotes, backslashes and line breaks in stamp text
+    cannot break the syntax) and one edge per parent link. *)
 
 (** {1 Chrome trace-event JSON (Perfetto-loadable)} *)
 
 val to_chrome : t -> Jsonx.t
-(** [{"traceEvents": [...]}]: one complete ([ph:"X"]) slice per node
+(** A Chrome trace: one complete ([ph:"X"]) slice per node
     (timestamps are the logical step in microseconds, [tid] the frontier
     position at creation) plus a flow-event pair ([ph:"s"]/[ph:"f"]) per
-    parent edge, so the causal arrows render in Perfetto / chrome://tracing. *)
+    parent edge, so the causal arrows render in Perfetto / chrome://tracing.
+    Written by {!Chrome.trace}. *)

@@ -193,32 +193,6 @@ let publish_lag ?(registry = Registry.default) lags =
 
 (* --- /lag.json --- *)
 
-(* ["name{label=\"v\"}"] -> [Some v] when [label] is the (single)
-   inline label of the name.  The convergence families only ever carry
-   one label, so a full label parser is not needed here. *)
-let label_value ~base ~label name =
-  let prefix = base ^ "{" ^ label ^ "=\"" in
-  let pn = String.length prefix and n = String.length name in
-  if n > pn + 1
-     && String.sub name 0 pn = prefix
-     && String.sub name (n - 2) 2 = "\"}"
-  then
-    match
-      Registry.unescape_label_value (String.sub name pn (n - pn - 2))
-    with
-    | Ok v -> Some v
-    | Error _ -> None
-  else None
-
-let has_suffix ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
-
-let metric_value = function
-  | Registry.Counter c -> float_of_int (Metric.count c)
-  | Registry.Gauge g -> Metric.value g
-  | Registry.Histogram h -> float_of_int (Metric.observations h)
-
 let lag_json registry =
   let replica_lag = ref [] in
   let pairs = ref [] in
@@ -229,12 +203,15 @@ let lag_json registry =
   let delta = ref [] in
   List.iter
     (fun (name, metric) ->
-      let v = metric_value metric in
-      match label_value ~base:"vstamp_replica_lag" ~label:"replica" name with
+      let v = Registry.value metric in
+      match
+        Registry.label_value ~base:"vstamp_replica_lag" ~label:"replica" name
+      with
       | Some r -> replica_lag := (r, Jsonx.Float v) :: !replica_lag
       | None -> (
           match
-            label_value ~base:"vstamp_divergence_pairs" ~label:"kind" name
+            Registry.label_value ~base:"vstamp_divergence_pairs" ~label:"kind"
+              name
           with
           | Some k -> pairs := (k, Jsonx.Float v) :: !pairs
           | None ->
@@ -246,10 +223,10 @@ let lag_json registry =
               else if name = "vstamp_convergence_steps" then
                 conv_steps := Jsonx.Float v
               else if
-                has_suffix ~suffix:"_delta_efficiency" name
-                || has_suffix ~suffix:"_shipped_bytes_total" name
-                || has_suffix ~suffix:"_minimal_bytes_total" name
-                || has_suffix ~suffix:"_redundant_bytes_total" name
+                String.ends_with ~suffix:"_delta_efficiency" name
+                || String.ends_with ~suffix:"_shipped_bytes_total" name
+                || String.ends_with ~suffix:"_minimal_bytes_total" name
+                || String.ends_with ~suffix:"_redundant_bytes_total" name
               then delta := (name, Jsonx.Float v) :: !delta))
     (Registry.snapshot registry);
   Jsonx.Obj

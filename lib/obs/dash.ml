@@ -74,18 +74,15 @@ let gauge_rows ~max_rows deltas =
    the signals a partition-weather soak is run to watch, and burying
    them among the other gauges defeats the glance. *)
 let divergence_name name =
-  let has_prefix p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  let has_suffix s =
-    let n = String.length name and m = String.length s in
-    n >= m && String.sub name (n - m) m = s
-  in
-  has_prefix "vstamp_replica_lag" || has_prefix "vstamp_divergence_"
-  || has_prefix "vstamp_frontier_width"
-  || has_prefix "vstamp_convergence_"
-  || has_suffix "_delta_efficiency"
+  List.exists
+    (fun prefix -> String.starts_with ~prefix name)
+    [
+      "vstamp_replica_lag";
+      "vstamp_divergence_";
+      "vstamp_frontier_width";
+      "vstamp_convergence_";
+    ]
+  || String.ends_with ~suffix:"_delta_efficiency" name
 
 let divergence_rows ~max_rows snapshot =
   let fields = match snapshot with Jsonx.Obj kvs -> kvs | _ -> [] in
@@ -100,11 +97,8 @@ let divergence_rows ~max_rows snapshot =
 (* The identity-space families likewise: a churn soak is run to watch
    fragmentation and reclamation, so they get their own panel. *)
 let idspace_name name =
-  let has_prefix p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  has_prefix "vstamp_idspace_" || has_prefix "sim_churn_"
+  String.starts_with ~prefix:"vstamp_idspace_" name
+  || String.starts_with ~prefix:"sim_churn_" name
 
 let idspace_rows ~max_rows snapshot =
   let fields = match snapshot with Jsonx.Obj kvs -> kvs | _ -> [] in

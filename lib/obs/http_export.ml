@@ -151,21 +151,9 @@ let respond_json ?head fd ~status j =
 
 let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
 
-let sum_counters_with_prefix t prefix =
-  List.fold_left
-    (fun acc (name, m) ->
-      match m with
-      | Registry.Counter c when String.starts_with ~prefix name ->
-          acc + Metric.count c
-      | _ -> acc)
-    0
-    (Registry.snapshot t.registry)
-
 let health_fields t =
   let uptime = Clock.now_s () -. t.started_s in
-  let violations =
-    sum_counters_with_prefix t "vstamp_invariant_violations_total"
-  in
+  let violations = Monitor.violations_total t.registry in
   let requests_n, events_n =
     locked t (fun () -> (t.requests_n, t.events_n))
   in

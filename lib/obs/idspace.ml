@@ -425,17 +425,6 @@ let via_string = function
   | Join -> "join"
   | Retire -> "retire"
 
-let dot_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char b '\\'; Buffer.add_char b c
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let frag_string frag =
   "{" ^ String.concat "," (List.map (fun s -> if s = "" then "ε" else s) frag)
   ^ "}"
@@ -454,8 +443,8 @@ let to_dot t =
       in
       Buffer.add_string b
         (Printf.sprintf "  n%d [label=\"%s [%s]\\n%s\",%s];\n" n.id
-           (dot_escape n.label) (via_string n.via)
-           (dot_escape (frag_string n.frag))
+           (Dot.escape n.label) (via_string n.via)
+           (Dot.escape (frag_string n.frag))
            style))
     ordered;
   List.iter
@@ -574,26 +563,6 @@ let publish ?(registry = Registry.default) t =
   delta 5 t.reclaimed "vstamp_idspace_reclaimed_bits_total";
   delta 6 t.forked_bits "vstamp_idspace_fork_bits_total"
 
-let metric_value = function
-  | Registry.Counter c -> float_of_int (Metric.count c)
-  | Registry.Gauge g -> Metric.value g
-  | Registry.Histogram h -> float_of_int (Metric.observations h)
-
-(* ["name{label=\"v\"}"] -> [Some v]; the idspace families carry at
-   most the single [op] label. *)
-let label_value ~base ~label name =
-  let prefix = base ^ "{" ^ label ^ "=\"" in
-  let pn = String.length prefix and n = String.length name in
-  if
-    n > pn + 1
-    && String.sub name 0 pn = prefix
-    && String.sub name (n - 2) 2 = "\"}"
-  then
-    match Registry.unescape_label_value (String.sub name pn (n - pn - 2)) with
-    | Ok v -> Some v
-    | Error _ -> None
-  else None
-
 let view_json registry =
   let gauges = ref [] in
   let ops = ref [] in
@@ -605,9 +574,9 @@ let view_json registry =
   in
   List.iter
     (fun (name, metric) ->
-      let v = metric_value metric in
+      let v = Registry.value metric in
       match
-        label_value ~base:"vstamp_idspace_ops_total" ~label:"op" name
+        Registry.label_value ~base:"vstamp_idspace_ops_total" ~label:"op" name
       with
       | Some op -> ops := (op, Jsonx.Float v) :: !ops
       | None ->

@@ -18,6 +18,19 @@ let default_sample () =
     let z = Int64.logxor z (Int64.shift_right_logical z 31) in
     Int64.to_float (Int64.shift_right_logical z 11) *. 0x1p-53
 
+let violations_family = "vstamp_invariant_violations_total"
+
+let violations_total registry =
+  List.fold_left
+    (fun acc (name, m) ->
+      match m with
+      | Registry.Counter c
+        when String.starts_with ~prefix:violations_family name ->
+          acc + Metric.count c
+      | _ -> acc)
+    0
+    (Registry.snapshot registry)
+
 type t = {
   name : string;
   sampling : sampling;
@@ -48,7 +61,7 @@ let create ?(registry = Registry.default) ?sink ?(sampling = Always) ?sample
         (Printf.sprintf "vstamp_invariant_checks_total{monitor=%S}" name);
     violations =
       Registry.counter registry
-        (Printf.sprintf "vstamp_invariant_violations_total{monitor=%S}" name);
+        (Printf.sprintf "%s{monitor=%S}" violations_family name);
     coverage =
       Registry.gauge registry
         (Printf.sprintf "vstamp_monitor_coverage{monitor=%S}" name);

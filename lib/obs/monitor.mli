@@ -3,10 +3,11 @@
     A monitor is a named check evaluated repeatedly along a run (e.g.
     the frontier invariants I1–I3 after every simulator step).  Each
     evaluation bumps [vstamp_invariant_checks_total{monitor=...}] in the
-    registry; a failing one additionally bumps
-    [vstamp_invariant_violations_total{monitor=...}], remembers the
-    first witness, and emits a structured [invariant.violation] event
-    (step-stamped, deterministic) into the sink.
+    registry; a failing one additionally bumps the matching violations
+    counter (the same name with [violations] for [checks]; see
+    {!violations_total}), remembers the first witness, and emits a
+    structured [invariant.violation] event (step-stamped, deterministic)
+    into the sink.
 
     Full checking is expensive — I2/I3 are quadratic in frontier width —
     so a monitor can carry a {e sampling policy} that evaluates only a
@@ -87,3 +88,7 @@ val violations : t -> int
 
 val first_violation : t -> (int * (string * Jsonx.t) list) option
 (** Step and witness of the earliest failure, if any. *)
+
+val violations_total : Registry.t -> int
+(** The sum of every monitor's violation counter in the registry: the
+    count behind [/healthz] and the [invariant_violation] alert rule. *)

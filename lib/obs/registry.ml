@@ -38,6 +38,11 @@ let histogram t name =
 
 let find t name = Hashtbl.find_opt t.tbl name
 
+let value = function
+  | Counter c -> float_of_int (Metric.count c)
+  | Gauge g -> Metric.value g
+  | Histogram h -> float_of_int (Metric.observations h)
+
 let cardinal t = Hashtbl.length t.tbl
 
 let snapshot t =
@@ -108,6 +113,16 @@ let unescape_label_value s =
           go (i + 1)
   in
   go 0
+
+let label_value ~base ~label name =
+  let prefix = base ^ "{" ^ label ^ "=\"" in
+  let pn = String.length prefix and n = String.length name in
+  if
+    n > pn + 1
+    && String.starts_with ~prefix name
+    && String.ends_with ~suffix:"\"}" name
+  then Result.to_option (unescape_label_value (String.sub name pn (n - pn - 2)))
+  else None
 
 let with_labels name labels =
   match labels with

@@ -28,6 +28,10 @@ val histogram : t -> string -> Metric.histogram
 
 val find : t -> string -> metric option
 
+val value : metric -> float
+(** A counter's count, a gauge's value, a histogram's number of
+    observations. *)
+
 val cardinal : t -> int
 
 val snapshot : t -> (string * metric) list
@@ -59,6 +63,12 @@ val escape_label_value : string -> string
 val unescape_label_value : string -> (string, string) result
 (** Inverse of {!escape_label_value}; errors on a dangling or unknown
     escape. *)
+
+val label_value : base:string -> label:string -> string -> string option
+(** [label_value ~base ~label name] is [Some v] when [name] is
+    [base{label="..."}] with [label] its only label, [v] the value
+    unescaped; [None] otherwise, or when the value's escapes are
+    malformed. *)
 
 val with_labels : string -> (string * string) list -> string
 (** [with_labels "kvs_ops_total" ["op", "get"]] is

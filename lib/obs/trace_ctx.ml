@@ -165,18 +165,7 @@ let span_of_string s =
 let spans_to_jsonl spans =
   String.concat "" (List.map (fun s -> span_to_string s ^ "\n") spans)
 
-let spans_of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else (
-          match span_of_string line with
-          | Ok s -> go (lineno + 1) (s :: acc) rest
-          | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
-  in
-  go 1 [] lines
+let spans_of_jsonl = Jsonl.parse span_of_string
 
 (* --- ambient tracer --- *)
 

@@ -71,7 +71,8 @@ val spans_to_jsonl : span list -> string
 (** One span per line; the span-log file format. *)
 
 val spans_of_jsonl : string -> (span list, string) result
-(** Inverse of {!spans_to_jsonl}; blank lines are skipped. *)
+(** Inverse of {!spans_to_jsonl} through {!Jsonl.parse}: blank lines
+    are skipped, and an error names the failing line. *)
 
 (** {1 The ambient tracer} *)
 

@@ -24,21 +24,7 @@ type report = {
   rp_contradictions : (Trace_ctx.span * Trace_ctx.span) list;
 }
 
-let read_file file =
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error m -> Error m
-
-let load_file file =
-  match read_file file with
-  | Error m -> Error (Printf.sprintf "%s: %s" file m)
-  | Ok s -> (
-      match Trace_ctx.spans_of_jsonl s with
-      | Ok spans -> Ok spans
-      | Error m -> Error (Printf.sprintf "%s: %s" file m))
+let load_file = Jsonl.load Trace_ctx.span_of_string
 
 (* deterministic tiebreak: wall time, then node, then span id *)
 let span_key s =
@@ -299,69 +285,31 @@ let to_chrome spans =
          (fun acc s -> SS.add s.Trace_ctx.sp_node acc)
          SS.empty spans)
   in
+  let lanes = List.mapi (fun i nd -> (i + 1, nd)) nodes in
   let lane = Hashtbl.create 8 in
-  List.iteri (fun i nd -> Hashtbl.replace lane nd (i + 1)) nodes;
-  let metadata =
-    List.concat_map
-      (fun nd ->
-        let pid = Hashtbl.find lane nd in
-        [
-          Jsonx.Obj
-            [
-              ("name", Jsonx.String "process_name");
-              ("ph", Jsonx.String "M");
-              ("pid", Jsonx.Int pid);
-              ("tid", Jsonx.Int 0);
-              ("args", Jsonx.Obj [ ("name", Jsonx.String nd) ]);
-            ];
-          Jsonx.Obj
-            [
-              ("name", Jsonx.String "process_sort_index");
-              ("ph", Jsonx.String "M");
-              ("pid", Jsonx.Int pid);
-              ("tid", Jsonx.Int 0);
-              ("args", Jsonx.Obj [ ("sort_index", Jsonx.Int pid) ]);
-            ];
-        ])
-      nodes
+  List.iter (fun (pid, nd) -> Hashtbl.replace lane nd pid) lanes;
+  let slice seq s =
+    let open Trace_ctx in
+    {
+      Chrome.name = s.sp_name;
+      cat = "vstamp";
+      ts = Int64.to_int (Int64.div s.sp_start_ns 1000L);
+      dur =
+        max 1
+          (Int64.to_int
+             (Int64.div (Int64.sub s.sp_end_ns s.sp_start_ns) 1000L));
+      pid = Hashtbl.find lane s.sp_node;
+      tid = 0;
+      args =
+        [ ("span", Jsonx.String s.sp_id); ("seq", Jsonx.Int seq) ]
+        @ (match s.sp_parent with
+          | Some p -> [ ("parent", Jsonx.String p) ]
+          | None -> [])
+        @ (match s.sp_stamp with
+          | Some st -> [ ("stamp", Jsonx.String st) ]
+          | None -> [])
+        @ s.sp_attrs;
+    }
   in
-  let events =
-    List.mapi
-      (fun seq s ->
-        let open Trace_ctx in
-        let ts_us = Int64.to_int (Int64.div s.sp_start_ns 1000L) in
-        let dur_us =
-          max 1
-            (Int64.to_int
-               (Int64.div (Int64.sub s.sp_end_ns s.sp_start_ns) 1000L))
-        in
-        let args =
-          [ ("span", Jsonx.String s.sp_id); ("seq", Jsonx.Int seq) ]
-          @ (match s.sp_parent with
-            | Some p -> [ ("parent", Jsonx.String p) ]
-            | None -> [])
-          @ (match s.sp_stamp with
-            | Some st -> [ ("stamp", Jsonx.String st) ]
-            | None -> [])
-          @ s.sp_attrs
-        in
-        Jsonx.Obj
-          [
-            ("name", Jsonx.String s.sp_name);
-            ("cat", Jsonx.String "vstamp");
-            ("ph", Jsonx.String "X");
-            ("ts", Jsonx.Int ts_us);
-            ("dur", Jsonx.Int dur_us);
-            ("pid", Jsonx.Int (Hashtbl.find lane s.sp_node));
-            ("tid", Jsonx.Int 0);
-            ("args", Jsonx.Obj args);
-          ])
-      spans
-  in
-  Jsonx.Obj
-    [
-      ("traceEvents", Jsonx.List (metadata @ events));
-      ("displayTimeUnit", Jsonx.String "ms");
-      ( "otherData",
-        Jsonx.Obj [ ("generator", Jsonx.String "vstamp trace merge") ] );
-    ]
+  Chrome.trace ~generator:"vstamp trace merge" ~lanes ~flows:[]
+    (List.mapi slice spans)

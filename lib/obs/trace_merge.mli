@@ -31,7 +31,7 @@ type report = {
 }
 
 val load_file : string -> (Trace_ctx.span list, string) result
-(** Load one span-log (JSONL) file. *)
+(** Load one span-log (JSONL) file through {!Jsonl.load}. *)
 
 val merge : leq:leq -> Trace_ctx.span list -> Trace_ctx.span list
 (** Causal linearization of the given spans (typically the
@@ -69,4 +69,4 @@ val to_chrome : Trace_ctx.span list -> Jsonx.t
 (** Chrome trace-event (about://tracing, Perfetto) export of an
     already merged span list: one process lane per node, complete
     ("X") events, with each span's causal position recorded as a
-    [seq] argument. *)
+    [seq] argument.  Written by {!Chrome.trace}. *)

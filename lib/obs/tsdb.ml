@@ -218,15 +218,13 @@ let sample t ?now_s registry =
       t.samples <- t.samples + 1;
       List.iter
         (fun (name, m) ->
-          match m with
-          | Registry.Counter c ->
-              observe_locked t ~now_s ~kind:Counter name
-                (float_of_int (Metric.count c))
-          | Registry.Gauge g ->
-              observe_locked t ~now_s ~kind:Gauge name (Metric.value g)
-          | Registry.Histogram h ->
-              observe_locked t ~now_s ~kind:Histogram name
-                (float_of_int (Metric.observations h)))
+          let kind =
+            match m with
+            | Registry.Counter _ -> Counter
+            | Registry.Gauge _ -> Gauge
+            | Registry.Histogram _ -> Histogram
+          in
+          observe_locked t ~now_s ~kind name (Registry.value m))
         (Registry.snapshot registry))
 
 let names t =

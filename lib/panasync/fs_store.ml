@@ -32,12 +32,6 @@ let of_hex s =
              Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
     with _ -> None
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path content =
   let oc = open_out_bin path in
   Fun.protect
@@ -58,10 +52,13 @@ let load ~dir ~name =
     Error (Not_a_directory dir)
   else
     try
+      let read file =
+        Result.fold ~ok:Fun.id ~error:failwith (Vstamp_obs.Jsonl.read_file file)
+      in
       let store =
         List.fold_left
           (fun store path ->
-            let content = read_file (Filename.concat dir path) in
+            let content = read (Filename.concat dir path) in
             let sf = stamp_file dir path in
             if Sys.file_exists sf then begin
               let bad detail =
@@ -70,7 +67,7 @@ let load ~dir ~name =
                      (Format.asprintf "%a" pp_error (Bad_stamp { path; detail })))
               in
               match
-                String.split_on_char '\n' (String.trim (read_file sf))
+                String.split_on_char '\n' (String.trim (read sf))
               with
               | [ stamp_hex; lineage_hex ] -> (
                   match (of_hex stamp_hex, of_hex lineage_hex) with

@@ -59,7 +59,9 @@ type policy =
   | Prefer_right
   | Merge of (left:string -> right:string -> string)
 
-type outcome =
+(* The session walks left-as-initiator, right-as-responder, so the
+   engine's outcomes read left to right. *)
+type outcome = Engine.outcome =
   | Created  (* the file existed on only one side: a replica was made *)
   | Unchanged  (* equivalent copies *)
   | Propagated_left_to_right
@@ -91,24 +93,6 @@ let outcome_slug = function
   | Conflict -> "conflict"
 
 let conflicts reports = List.filter (fun r -> r.outcome = Conflict) reports
-
-(* The session walks left-as-initiator, right-as-responder, so the
-   engine's a→b direction is left→right. *)
-let of_engine_outcome = function
-  | Engine.Created -> Created
-  | Engine.Unchanged -> Unchanged
-  | Engine.Propagated_ab -> Propagated_left_to_right
-  | Engine.Propagated_ba -> Propagated_right_to_left
-  | Engine.Resolved -> Resolved
-  | Engine.Conflict -> Conflict
-
-let to_engine_outcome = function
-  | Created -> Engine.Created
-  | Unchanged -> Engine.Unchanged
-  | Propagated_left_to_right -> Engine.Propagated_ab
-  | Propagated_right_to_left -> Engine.Propagated_ba
-  | Resolved -> Engine.Resolved
-  | Conflict -> Engine.Conflict
 
 module Make (F : sig
   type t
@@ -298,7 +282,7 @@ struct
             E.item_a = l;
             item_b = r;
             relation;
-            outcome = to_engine_outcome report.outcome;
+            outcome = report.outcome;
             charge = charge_of report.outcome l r;
           });
       replicate = F.replicate;
@@ -312,12 +296,11 @@ struct
     let ledger = Option.map (fun c -> c.Obs.ledger) !Obs.state in
     let on_report (er : E.report) =
       Obs.on (fun c ->
-          let outcome = of_engine_outcome er.E.outcome in
-          Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
+          Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug er.E.outcome));
           (match er.E.payload with
           | 0 -> ()
           | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
-          if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+          if er.E.outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
     in
     let left, right, ereports =
       E.session ?ledger ~on_report ~spans config left right
@@ -325,11 +308,7 @@ struct
     let reports =
       List.map
         (fun (er : E.report) ->
-          {
-            path = er.E.key;
-            relation = er.E.relation;
-            outcome = of_engine_outcome er.E.outcome;
-          })
+          { path = er.E.key; relation = er.E.relation; outcome = er.E.outcome })
         ereports
     in
     (left, right, reports)

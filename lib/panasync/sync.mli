@@ -33,7 +33,9 @@ type policy =
   | Merge of (left:string -> right:string -> string)
       (** Settle conflicts with a content-level merge function. *)
 
-type outcome =
+(** The engine's outcome: a session walks left as the initiator and
+    right as the responder. *)
+type outcome = Vstamp_sync.Engine.outcome =
   | Created
   | Unchanged
   | Propagated_left_to_right

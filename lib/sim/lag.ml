@@ -129,11 +129,7 @@ let run ?registry ?on_round (cfg : config) (Tracker.Packed (module T)) =
        misses.  The split is the engine's unified formula with a
        stamp-only charge (the simulation moves no payload). *)
     let relation =
-      match Conv.classify ~leq_ab:(T.leq a b) ~leq_ba:(T.leq b a) with
-      | Conv.Equal -> Vstamp_core.Relation.Equal
-      | Conv.Dominates -> Vstamp_core.Relation.Dominates
-      | Conv.Dominated -> Vstamp_core.Relation.Dominated
-      | Conv.Concurrent -> Vstamp_core.Relation.Concurrent
+      Vstamp_core.Relation.of_leq_pair ~leq_ab:(T.leq a b) ~leq_ba:(T.leq b a)
     in
     let charge =
       {

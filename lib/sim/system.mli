@@ -84,10 +84,10 @@ val run :
     With [check_invariants] (default [false]), a {!Vstamp_obs.Monitor}
     evaluates the tracker's frontier invariants (I1–I3 for stamps, via
     [Tracker.S.invariants]) and an order-sanity pass after every step,
-    counting into [vstamp_invariant_checks_total] /
-    [vstamp_invariant_violations_total] of [registry] (or the default
-    registry) and emitting an [invariant.violation] event into [sink] on
-    failure; the run then fails loudly with {!Invariant_violation}
+    counting into the monitor's check and violation counters in
+    [registry] (or the default registry) and emitting an
+    [invariant.violation] event into [sink] on failure; the run then
+    fails loudly with {!Invariant_violation}
     carrying the minimal failing prefix, saved via {!Trace} to
     [violation_out] when given.
 

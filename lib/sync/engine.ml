@@ -3,15 +3,15 @@ open Vstamp_core
 type outcome =
   | Created
   | Unchanged
-  | Propagated_ab
-  | Propagated_ba
+  | Propagated_left_to_right
+  | Propagated_right_to_left
   | Resolved
   | Conflict
 
 let outcome_of_relation = function
   | Relation.Equal -> Unchanged
-  | Relation.Dominates -> Propagated_ab
-  | Relation.Dominated -> Propagated_ba
+  | Relation.Dominates -> Propagated_left_to_right
+  | Relation.Dominated -> Propagated_right_to_left
   | Relation.Concurrent -> Conflict
 
 type charge = { meta_a : int; meta_b : int; payload : int }
@@ -21,8 +21,8 @@ let delta outcome { meta_a; meta_b; payload } =
   let minimal =
     match outcome with
     | Unchanged -> 0
-    | Propagated_ab -> meta_a + payload
-    | Propagated_ba -> meta_b + payload
+    | Propagated_left_to_right -> meta_a + payload
+    | Propagated_right_to_left -> meta_b + payload
     | Resolved | Conflict -> shipped
     | Created -> shipped
   in
@@ -142,84 +142,51 @@ module Make (S : STORE) = struct
     let received =
       List.fold_left (fun m e -> Smap.add e.e_key e.e_item m) Smap.empty items
     in
-    let emit report = charge_for ledger tally on_report report in
+    (* The one place a key's report is built, charged and emitted.
+       [exchange] is the item kept here and the one sent back, [None]
+       when the exchange is elided. *)
+    let settle acc key exchange relation outcome charge =
+      let store, results, reports = acc in
+      let shipped, minimal = delta outcome charge in
+      let payload = charge.payload in
+      let report = { key; relation; outcome; payload; shipped; minimal } in
+      charge_for ledger tally on_report report;
+      match exchange with
+      | None -> (store, results, report :: reports)
+      | Some (kept, sent) ->
+          ( S.set store key kept,
+            { e_key = key; e_item = sent } :: results,
+            report :: reports )
+    in
+    let created acc key exchange ~meta_a item =
+      let charge = { meta_a; meta_b = 0; payload = S.payload_bytes item } in
+      settle acc key (Some exchange) None Created charge
+    in
     (* One key of the union: [offered] is its frontier entry, if any. *)
-    let step (store, results, reports) key offered =
+    let step ((store, _, _) as acc) key offered =
       match (offered, S.find store key) with
-      | None, None -> (store, results, reports)
+      | None, None -> acc
       | None, Some item ->
           (* responder-only entry: replicate it for the initiator *)
-          let mine, theirs = config.replicate item in
-          let charge =
-            {
-              meta_a = S.meta_bytes (S.meta_of item);
-              meta_b = 0;
-              payload = S.payload_bytes item;
-            }
-          in
-          let shipped, minimal = delta Created charge in
-          let report =
-            {
-              key;
-              relation = None;
-              outcome = Created;
-              payload = charge.payload;
-              shipped;
-              minimal;
-            }
-          in
-          emit report;
-          ( S.set store key mine,
-            { e_key = key; e_item = theirs } :: results,
-            report :: reports )
+          created acc key (config.replicate item)
+            ~meta_a:(S.meta_bytes (S.meta_of item))
+            item
       | Some f, None -> (
           match Smap.find_opt key received with
           | None ->
               (* requested but not delivered: skip, no charge *)
-              (store, results, reports)
+              acc
           | Some item ->
               (* initiator-only entry: fork it, keep the peer branch *)
               let mine, theirs = config.replicate item in
-              let charge =
-                {
-                  meta_a = S.meta_bytes f.f_meta;
-                  meta_b = 0;
-                  payload = S.payload_bytes item;
-                }
-              in
-              let shipped, minimal = delta Created charge in
-              let report =
-                {
-                  key;
-                  relation = None;
-                  outcome = Created;
-                  payload = charge.payload;
-                  shipped;
-                  minimal;
-                }
-              in
-              emit report;
-              ( S.set store key theirs,
-                { e_key = key; e_item = mine } :: results,
-                report :: reports ))
+              let meta_a = S.meta_bytes f.f_meta in
+              created acc key (theirs, mine) ~meta_a item)
       | Some f, Some mine_item -> (
           let reconcile_with item_a =
             let v = config.reconcile ~key item_a mine_item in
-            let shipped, minimal = delta v.outcome v.charge in
-            let report =
-              {
-                key;
-                relation = Some v.relation;
-                outcome = v.outcome;
-                payload = v.charge.payload;
-                shipped;
-                minimal;
-              }
-            in
-            emit report;
-            ( S.set store key v.item_b,
-              { e_key = key; e_item = v.item_a } :: results,
-              report :: reports )
+            settle acc key
+              (Some (v.item_b, v.item_a))
+              (Some v.relation) v.outcome v.charge
           in
           match Smap.find_opt key received with
           | Some item_a -> reconcile_with item_a
@@ -233,26 +200,10 @@ module Make (S : STORE) = struct
               | rel ->
                   (* observationally equal (matching digest): the
                      exchange is elided, only metadata compared *)
-                  let charge =
-                    {
-                      meta_a = S.meta_bytes f.f_meta;
-                      meta_b = S.meta_bytes (S.meta_of mine_item);
-                      payload = 0;
-                    }
-                  in
-                  let shipped, minimal = delta Unchanged charge in
-                  let report =
-                    {
-                      key;
-                      relation = Some rel;
-                      outcome = Unchanged;
-                      payload = 0;
-                      shipped;
-                      minimal;
-                    }
-                  in
-                  emit report;
-                  (store, results, report :: reports)))
+                  let meta_a = S.meta_bytes f.f_meta in
+                  let meta_b = S.meta_bytes (S.meta_of mine_item) in
+                  let charge = { meta_a; meta_b; payload = 0 } in
+                  settle acc key None (Some rel) Unchanged charge))
     in
     (* Merge the offer with the store's keys, both ascending: the
        sorted union, each key once. *)

@@ -32,22 +32,23 @@
 
 open Vstamp_core
 
-(** What reconciling one entry did.  [Propagated_ab] fast-forwarded the
-    responder from the initiator's copy, [Propagated_ba] the reverse;
-    [Resolved] settled surfaced concurrency, [Conflict] left it
-    standing. *)
+(** What reconciling one entry did.  The initiator is the left side
+    and the responder the right: [Propagated_left_to_right]
+    fast-forwarded the responder from the initiator's copy,
+    [Propagated_right_to_left] the reverse; [Resolved] settled surfaced
+    concurrency, [Conflict] left it standing. *)
 type outcome =
   | Created
   | Unchanged
-  | Propagated_ab
-  | Propagated_ba
+  | Propagated_left_to_right
+  | Propagated_right_to_left
   | Resolved
   | Conflict
 
 val outcome_of_relation : Relation.t -> outcome
 (** The outcome a plain fast-forwarding sync yields per relation:
-    [Equal → Unchanged], [Dominates → Propagated_ab],
-    [Dominated → Propagated_ba], [Concurrent → Conflict]. *)
+    [Equal → Unchanged], [Dominates → Propagated_left_to_right],
+    [Dominated → Propagated_right_to_left], [Concurrent → Conflict]. *)
 
 type charge = { meta_a : int; meta_b : int; payload : int }
 (** One entry's byte accounting inputs: each side's causality-metadata

@@ -127,4 +127,16 @@ dune exec bin/vstamp_cli.exe -- simulate -t stamps -w churn -n 100 \
   --metrics-out "$tmpdir/b.jsonl" >/dev/null
 cmp "$tmpdir/a.jsonl" "$tmpdir/b.jsonl"
 
+echo "== code size =="
+# ROADMAP item 4 counts progress as net lines removed with behaviour
+# unchanged; these counts make that measure reproducible from a CI log.
+# No threshold.
+lines() { cat "$@" 2>/dev/null | wc -l | tr -d ' '; }
+for dir in lib/*/ bin/ bench/; do
+  printf '%-14s %6s .ml %6s .mli\n' "${dir%/}" \
+    "$(lines "$dir"*.ml)" "$(lines "$dir"*.mli)"
+done
+printf '%-14s %6s .ml %6s .mli\n' "lib+bin" \
+  "$(lines lib/*/*.ml bin/*.ml)" "$(lines lib/*/*.mli bin/*.mli)"
+
 echo "ok"
