@@ -1526,7 +1526,7 @@ let e17 ~cfg () =
 
 (* E18: the networked anti-entropy plane measured end to end.  A
    3-node loopback-TCP cluster (Vstamp_net.Node speaking the real
-   vstamp-sync/1 framed protocol) seeds disjoint keys per node and is
+   vstamp-sync/2 framed protocol) seeds disjoint keys per node and is
    driven by deterministic [sync_now] rounds until every store digest
    agrees.  Recorded: total bytes the sockets carried (frames,
    handshakes, frontiers, payloads — everything) against the engine

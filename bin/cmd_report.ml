@@ -65,17 +65,20 @@ let report_series_live live ~port ~window_s ~step_s =
   in
   (series, Result.to_option (fetch "/alerts.json"))
 
+(* The one decoder of a --tsdb-out dump.  The error names the step that
+   failed, so each caller words it its own way. *)
+let decode_dump file =
+  match Jsonl.read_file file with
+  | Error m -> Error (`Unreadable m)
+  | Ok text -> (
+      match Jx.of_string (String.trim text) with
+      | Error m -> Error (`Bad_json m)
+      | Ok j -> Result.map_error (fun m -> `Bad_dump m) (Obs_tsdb.of_json j))
+
 let report_series_dump ~file ~window_s ~step_s =
-  let json =
-    match Jsonl.read_file file with
-    | Error m -> die "%s: %s" file m
-    | Ok text -> (
-        match Jx.of_string (String.trim text) with
-        | Ok j -> j
-        | Error m -> die "%s: bad JSON: %s" file m)
-  in
-  match Obs_tsdb.of_json json with
-  | Error m -> die "%s: %s" file m
+  match decode_dump file with
+  | Error (`Unreadable m | `Bad_dump m) -> die "%s: %s" file m
+  | Error (`Bad_json m) -> die "%s: bad JSON: %s" file m
   | Ok (tsdb, alerts) ->
       let series =
         match Obs_tsdb.time_bounds tsdb with
@@ -312,23 +315,20 @@ let report_cluster dir output =
     List.iter
       (fun f ->
         let name = Filename.chop_suffix f ".tsdb.json" in
-        match Jsonl.read_file (Filename.concat dir f) with
-        | Error m -> out "| `%s` | (unreadable: %s) | - |\n" name m
-        | Ok text -> (
-            match Jx.of_string (String.trim text) with
-            | Error m -> out "| `%s` | (bad JSON: %s) | - |\n" name m
-            | Ok j -> (
-                match Obs_tsdb.of_json j with
-                | Error m -> out "| `%s` | (%s) | - |\n" name m
-                | Ok (tsdb, _) ->
-                    let window =
-                      match Obs_tsdb.time_bounds tsdb with
-                      | Some (lo, hi) -> Printf.sprintf "%.1f" (hi -. lo)
-                      | None -> "-"
-                    in
-                    out "| `%s` | %d | %s |\n" name
-                      (List.length (Obs_tsdb.names tsdb))
-                      window)))
+        match decode_dump (Filename.concat dir f) with
+        | Error (`Unreadable m) ->
+            out "| `%s` | (unreadable: %s) | - |\n" name m
+        | Error (`Bad_json m) -> out "| `%s` | (bad JSON: %s) | - |\n" name m
+        | Error (`Bad_dump m) -> out "| `%s` | (%s) | - |\n" name m
+        | Ok (tsdb, _) ->
+            let window =
+              match Obs_tsdb.time_bounds tsdb with
+              | Some (lo, hi) -> Printf.sprintf "%.1f" (hi -. lo)
+              | None -> "-"
+            in
+            out "| `%s` | %d | %s |\n" name
+              (List.length (Obs_tsdb.names tsdb))
+              window)
       tsdbs
   end;
   write_data output (Buffer.contents buf)

@@ -1,5 +1,5 @@
 (* vstamp serve: one real replica on the network — a Stamped_kv store
-   served over the vstamp-sync/1 framed protocol (lib/net), converging
+   served over the vstamp-sync/2 framed protocol (lib/net), converging
    with its peers through periodic anti-entropy rounds, with the HTTP
    observability plane (/metrics, /healthz, /stats.json, /peers.json)
    embedded. *)
@@ -81,7 +81,7 @@ let serve sync_port http_port addr peers node_id backend interval duration
 let cmd =
   let sync_port =
     port ~default:9470
-      ~doc:"TCP port for the vstamp-sync/1 protocol (0 for ephemeral)"
+      ~doc:"TCP port for the vstamp-sync/2 protocol (0 for ephemeral)"
   in
   let http_port =
     Arg.(
@@ -128,7 +128,7 @@ let cmd =
     (Cmd.info "serve"
        ~doc:
          "Run a networked anti-entropy node: a stamped key-value replica \
-          speaking the framed vstamp-sync/1 protocol on TCP, converging \
+          speaking the framed vstamp-sync/2 protocol on TCP, converging \
           with its --peer nodes through periodic engine sessions \
           (frontier offer, delta request, reconcile), with /metrics, \
           /healthz, /stats.json and /peers.json served per node")

@@ -239,7 +239,7 @@ let soak port addr duration iterations n_ops seed backend sampling
       rules
   in
   (* --net: a real networked anti-entropy plane alongside the workload —
-     this process runs a Stamped_kv replica speaking vstamp-sync/1 on
+     this process runs a Stamped_kv replica speaking vstamp-sync/2 on
      TCP, writes one key per iteration and converges with its
      --net-peer nodes; the peer lifecycle shows up on /peers.json and
      the net_* metric families on /metrics *)
@@ -841,7 +841,7 @@ let cmd =
       & info [ "net-port" ] ~docv:"PORT"
           ~doc:
             "Also run a networked anti-entropy node: a stamped \
-             key-value replica speaking vstamp-sync/1 on PORT (0 for \
+             key-value replica speaking vstamp-sync/2 on PORT (0 for \
              ephemeral) that writes one key per iteration and \
              converges with the --net-peer nodes; peer lifecycle on \
              /peers.json, net_* families on /metrics")

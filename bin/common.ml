@@ -384,7 +384,7 @@ let on_stop_signals f =
     (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> f ())))
     [ Sys.sigint; Sys.sigterm ]
 
-(* A vstamp-sync/1 node over the stamps of a backend picked at run
+(* A vstamp-sync/2 node over the stamps of a backend picked at run
    time, seen through the calls the CLI makes. *)
 type node = {
   sync_port : int;

@@ -19,7 +19,7 @@ let pp_error ppf = function
    members with no [Node (Empty, Empty)]), so the encoding is one-to-one
    with antichains regardless of the in-memory representation: two
    backends holding the same name produce byte-identical output.  The
-   bytes must never change, since stored encodings and [vstamp-sync/1]
+   bytes must never change, since stored encodings and [vstamp-sync]
    peers depend on them; [test_codec.ml] checks every backend against a
    reference codec that rebuilds each trie from the member list. *)
 

@@ -220,14 +220,39 @@ module Make (S : Stamp.S) = struct
 
   let fulfil t wanted = to_delta (E.fulfil t wanted)
 
+  (* A result whose reconciled candidates are exactly the ones the
+     initiator shipped (it dominated, or held the key alone) goes back
+     stamp-only: the initiator keeps its candidates and adopts the
+     stamp, so a propagated value crosses the wire once.  A stored
+     register always holds a candidate, so [[]] never names a real
+     one. *)
   let reconcile ?tally t frontier items =
     let t, results, _reports =
       E.reconcile ?tally engine_config t (of_frontier frontier)
         (of_delta items)
     in
-    (t, to_delta results)
+    let shipped =
+      List.fold_left (fun m (k, _, vs) -> Smap.add k vs m) Smap.empty items
+    in
+    let half e =
+      let values = R.read e.E.e_item in
+      match Smap.find_opt e.E.e_key shipped with
+      | Some vs when List.equal String.equal vs values ->
+          (e.E.e_key, R.stamp e.E.e_item, [])
+      | _ -> (e.E.e_key, R.stamp e.E.e_item, values)
+    in
+    (t, List.map half results)
 
-  let apply t results = E.apply t (of_delta results)
+  (* A stamp-only entry keeps the candidates held here; for a key this
+     replica does not hold there is nothing to keep, so it is dropped. *)
+  let apply t results =
+    List.fold_left
+      (fun t (key, stamp, values) ->
+        match (values, find t key) with
+        | [], None -> t
+        | [], Some r -> set t key (R.restore ~stamp (R.read r))
+        | values, _ -> set t key (R.restore ~stamp values))
+      t results
 
   let converged a b =
     List.for_all

@@ -81,7 +81,12 @@ module Make (S : Vstamp_core.Stamp.S) : sig
       {!digest}). *)
 
   type delta = (string * S.t * string list) list
-  (** Full entries on the move: key, stamp, candidate values. *)
+  (** Entries on the move: key, stamp, candidate values.  {!fulfil}
+      always ships the candidates.  In {!reconcile}'s results an empty
+      list means "stamp only": the candidates are exactly the ones the
+      initiator shipped, so they do not cross the wire again.  A stored
+      register always holds at least one candidate, so an empty list is
+      never a real candidate set. *)
 
   val offer : t -> frontier
   (** Leg 1 (initiator): the replica's full frontier, sorted by key. *)
@@ -98,10 +103,18 @@ module Make (S : Vstamp_core.Stamp.S) : sig
     ?tally:Vstamp_sync.Ledger.t -> t -> frontier -> delta -> t * delta
   (** Leg 4 (responder): reconcile the received entries against the
       offered frontier; returns the updated replica and the
-      initiator's halves to ship back. *)
+      initiator's halves to ship back.  A half whose candidates are
+      exactly the ones the initiator shipped for that key (it
+      dominated, or held the key alone) is stamp-only: its candidate
+      list is empty.  Every other half carries its candidates.  The
+      [tally] is charged as for an in-process {!sync}. *)
 
   val apply : t -> delta -> t
-  (** Final leg (initiator): adopt the responder's results. *)
+  (** Final leg (initiator): adopt the responder's results.  A
+      stamp-only entry keeps the candidates this replica holds and
+      adopts the stamp; for a key it does not hold, it is dropped.
+      Applied to the replica that ran {!offer} and {!fulfil}, the
+      result is the store an in-process {!sync} leaves. *)
 
   val converged : t -> t -> bool
   (** Same keys, same candidate value sets. *)

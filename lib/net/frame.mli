@@ -1,4 +1,4 @@
-(** [vstamp-sync/1] framing: 4-byte big-endian length + payload.
+(** [vstamp-sync/2] framing: 4-byte big-endian length + payload.
 
     The length cap ({!max_payload}) bounds what a corrupted or hostile
     peer can make the process allocate; frames announcing more are a

@@ -228,10 +228,12 @@ module Make (B : Backend.S) = struct
 
   (* --- initiator: one round per connection --- *)
 
-  (* One anti-entropy round over an established link.  The apply guard:
-     a result entry is only adopted when the local entry is still what
-     the round's offer advertised — a put that raced the round keeps
-     its write and the next round reconciles it properly. *)
+  (* One anti-entropy round over an established link.  The offer and
+     the items both come from one snapshot.  The apply guard: a result
+     entry is only adopted when the local entry is still the snapshot's
+     — a put that raced the round keeps its write and the next round
+     reconciles it properly — so a stamp-only result always pairs its
+     stamp with exactly the candidates that were shipped. *)
   let do_round t peer fd =
     let run () =
       let header =
@@ -248,7 +250,7 @@ module Make (B : Backend.S) = struct
       let* wanted =
         expect t fd "Want" (function Proto.Want w -> Some w | _ -> None)
       in
-      let items = locked t (fun () -> KV.fulfil t.store wanted) in
+      let items = KV.fulfil snapshot wanted in
       let* () = send t fd (Proto.Items (encode_entries items)) in
       let* results =
         expect t fd "Result" (function Proto.Result r -> Some r | _ -> None)

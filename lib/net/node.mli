@@ -1,5 +1,5 @@
 (** A networked [vstamp] node: a {!Vstamp_kvs.Stamped_kv} replica served
-    over the [vstamp-sync/1] framed protocol on loopback/LAN TCP.
+    over the [vstamp-sync/2] framed protocol on loopback/LAN TCP.
 
     One node owns one store, one {!Vstamp_obs.Tcp} server with a
     responder thread per accepted connection (at most

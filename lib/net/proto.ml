@@ -1,4 +1,4 @@
-(* The [vstamp-sync/1] message layer inside the frames.
+(* The [vstamp-sync/2] message layer inside the frames.
 
    One frame = one message = a tag byte followed by varint-length-
    prefixed fields.  Stamps travel as opaque strings (the canonical
@@ -9,11 +9,12 @@
    Decoding is total: any input — truncated, oversized counts,
    bit-flipped tags — comes back as [Error], never an exception.  The
    handshake carries the protocol magic, so a peer speaking anything
-   else fails loudly at the first frame. *)
+   else (a [vstamp-sync/1] peer included) fails loudly at the first
+   frame. *)
 
-let version = 1
+let version = 2
 
-let magic = "vstamp-sync/1"
+let magic = "vstamp-sync/" ^ string_of_int version
 
 type hello = { node_id : string; backend : string; proto : int }
 
@@ -26,7 +27,8 @@ type msg =
   | Items of (string * string * string list) list
       (** Full entries: (key, stamp, values). *)
   | Result of (string * string * string list) list
-      (** The initiator's halves, same shape as [Items]. *)
+      (** The initiator's halves, same shape as [Items]; an empty value
+          list is a stamp-only half. *)
   | Bye  (** Polite end of session. *)
 
 (* --- primitive writers --- *)

@@ -1,4 +1,4 @@
-(** The [vstamp-sync/1] message layer (one message per frame).
+(** The [vstamp-sync/2] message layer (one message per frame).
 
     A tag byte, then varint-length-prefixed fields.  Stamps travel as
     opaque strings (the canonical {!Vstamp_codec.Wire} encoding, byte-
@@ -8,10 +8,14 @@
     frame grammar and session state machine. *)
 
 val version : int
-(** The protocol version this build speaks: [1]. *)
+(** The protocol version this build speaks: [2].  Version 1 shipped
+    every [Result] entry with its values; a version-1 peer would store
+    a stamp-only entry as an empty register, so it is refused at the
+    handshake. *)
 
 val magic : string
-(** ["vstamp-sync/1"], carried in every handshake frame. *)
+(** ["vstamp-sync/"] followed by {!version}, carried in every handshake
+    frame. *)
 
 type hello = { node_id : string; backend : string; proto : int }
 
@@ -24,7 +28,9 @@ type msg =
   | Items of (string * string * string list) list
       (** Full entries: (key, stamp, values). *)
   | Result of (string * string * string list) list
-      (** The initiator's halves, same shape as [Items]. *)
+      (** The initiator's halves, same shape as [Items]; an empty value
+          list is a stamp-only half
+          ({!Vstamp_kvs.Stamped_kv.Make.reconcile}). *)
   | Bye  (** Polite end of session. *)
 
 val encode : msg -> string

@@ -52,19 +52,14 @@ let create ?(registry = Registry.default) ?sink ?(sampling = Always) ?sample
   | Probability p when not (p >= 0.0 && p <= 1.0) ->
       invalid_arg "Monitor.create: Probability needs p in [0, 1]"
   | _ -> ());
+  let family base = Registry.with_labels base [ ("monitor", name) ] in
   {
     name;
     sampling;
     sample = (match sample with Some f -> f | None -> default_sample ());
-    checks =
-      Registry.counter registry
-        (Printf.sprintf "vstamp_invariant_checks_total{monitor=%S}" name);
-    violations =
-      Registry.counter registry
-        (Printf.sprintf "%s{monitor=%S}" violations_family name);
-    coverage =
-      Registry.gauge registry
-        (Printf.sprintf "vstamp_monitor_coverage{monitor=%S}" name);
+    checks = Registry.counter registry (family "vstamp_invariant_checks_total");
+    violations = Registry.counter registry (family violations_family);
+    coverage = Registry.gauge registry (family "vstamp_monitor_coverage");
     sink;
     seen = 0;
     last_checked = None;

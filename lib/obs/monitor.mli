@@ -44,7 +44,8 @@ val create :
   string ->
   t
 (** [create name] registers the check/violation counter pair and the
-    coverage gauge (labelled [{monitor=name}]) in [registry] (default
+    coverage gauge (labelled [{monitor=name}], the value escaped by
+    {!Registry.with_labels}) in [registry] (default
     {!Registry.default}).
 
     [sampling] defaults to [Always].  [sample] supplies the uniform

@@ -20,6 +20,15 @@ let locked t f =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Send and receive timeouts, and no Nagle delay.  Every frame is
+   written whole and each leg waits for the peer's reply, so Nagle's
+   algorithm only ever holds back the tail that [Unix.write] splits off
+   a write past 64 KiB, until the peer's delayed ACK (about 40 ms). *)
+let configure fd ~timeout_s =
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s
+
 let listen ?(addr = "127.0.0.1") ~port () =
   ignore_sigpipe ();
   let inet = Unix.inet_addr_of_string addr in
@@ -57,8 +66,7 @@ let serve t ~timeout_s handler fd =
   Fun.protect ~finally (fun () ->
       (* an idle or vanished peer must not pin a thread forever *)
       try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
+        configure fd ~timeout_s;
         handler fd
       with Unix.Unix_error _ | Sys_error _ -> ())
 
@@ -130,8 +138,7 @@ let connect ~host ~port ~timeout_s =
     in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
-       Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-       Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
+       configure fd ~timeout_s;
        Unix.connect fd (Unix.ADDR_INET (inet, port))
      with e ->
        close_quietly fd;

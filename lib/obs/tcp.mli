@@ -1,9 +1,12 @@
-(** The TCP layer shared by {!Http_export} and the [vstamp-sync/1] node
+(** The TCP layer shared by {!Http_export} and the [vstamp-sync/2] node
     ([Vstamp_net.Node]): a listening socket with an accept thread and
     one thread per connection, a fixed connection cap, a prompt stop,
     and the one host-resolving client [connect].  {!listen} and
     {!connect} ignore SIGPIPE, so a peer hanging up surfaces as an
-    [EPIPE] error, never as a dead process. *)
+    [EPIPE] error, never as a dead process.  Every socket {!start}
+    accepts or {!connect} opens has [TCP_NODELAY] set: both protocols
+    write each message whole and then wait for the reply, so Nagle's
+    algorithm could only delay a message's tail. *)
 
 type t
 
@@ -18,9 +21,10 @@ val listen : ?addr:string -> port:int -> unit -> t
 
 val start : t -> timeout_s:float -> (Unix.file_descr -> unit) -> unit
 (** Start the accept thread.  Each accepted connection gets send and
-    receive timeouts of [timeout_s] and its own thread running the
-    handler; the socket is closed when the handler returns, and a
-    [Unix_error] or [Sys_error] it raises ends the connection only. *)
+    receive timeouts of [timeout_s], [TCP_NODELAY] and its own thread
+    running the handler; the socket is closed when the handler returns,
+    and a [Unix_error] or [Sys_error] it raises ends the connection
+    only. *)
 
 val port : t -> int
 (** The port actually bound. *)
@@ -38,7 +42,8 @@ val stop : ?release:(unit -> unit) -> t -> unit
 val connect :
   host:string -> port:int -> timeout_s:float -> (Unix.file_descr, string) result
 (** A client socket connected to [host] (a literal address or a name to
-    resolve) on [port], with send and receive timeouts of [timeout_s]. *)
+    resolve) on [port], with send and receive timeouts of [timeout_s]
+    and [TCP_NODELAY]. *)
 
 val backoff_delay : int -> float
 (** The wait after the [n]th failed connection attempt in a row

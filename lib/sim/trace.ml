@@ -86,13 +86,9 @@ let save ~file ops =
       output_char oc '\n')
 
 let load ~file =
-  let ic = open_in file in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string (String.trim content)
+  match Vstamp_obs.Jsonl.read_file file with
+  | Ok content -> of_string (String.trim content)
+  | Error m -> raise (Sys_error m)
 
 let stats ops =
   let u, f, j =

@@ -19,6 +19,8 @@ val of_string : string -> (Vstamp_core.Execution.op list, error) result
 val save : file:string -> Vstamp_core.Execution.op list -> unit
 
 val load : file:string -> (Vstamp_core.Execution.op list, error) result
+(** Read and parse a saved trace.
+    @raise Sys_error when the file cannot be read. *)
 
 val stats : Vstamp_core.Execution.op list -> int * int * int
 (** [(updates, forks, joins)]. *)

@@ -10,7 +10,7 @@
     and reconciliation closures.
 
     The session is pure and phrased as four legs so a transport can
-    interleave them with frames (the [vstamp-sync/1] protocol in
+    interleave them with frames (the [vstamp-sync/2] protocol in
     [Vstamp_net]), while {!Make.session} composes them in-process:
 
     {v

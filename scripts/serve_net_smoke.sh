@@ -125,7 +125,7 @@ scrape "$http1" /stats.json | grep -q '"net_store_keys":3'
 # /peers.json: identity plus a connected dial peer
 scrape "$http1" /peers.json > "$tmpdir/peers1"
 grep -q '"node_id":"n1"' "$tmpdir/peers1"
-grep -q '"protocol":"vstamp-sync/1"' "$tmpdir/peers1"
+grep -q '"protocol":"vstamp-sync/2"' "$tmpdir/peers1"
 grep -q '"state":"connected"' "$tmpdir/peers1"
 
 # kill n0; n1 dials it, so its /peers.json must show the reconnect

@@ -52,6 +52,34 @@ let test_monitor_fail () =
         (List.assoc_opt "broken" fields = Some (Obs.Jsonx.Bool true))
   | _ -> Alcotest.fail "first violation not recorded"
 
+(* Every family a monitor registers is exposed with its name as a
+   Prometheus label value: a tab, a quote, a backslash, a line feed or
+   a UTF-8 byte in the name comes back out of [unescape_label_value]. *)
+let test_monitor_label_escaping () =
+  let reg = Obs.Registry.create () in
+  let name = "a\tb \"c\" \\ d\n\xc3\xa9" in
+  ignore (Obs.Monitor.create ~registry:reg name);
+  let lines = String.split_on_char '\n' (Obs.Registry.to_prometheus reg) in
+  List.iter
+    (fun base ->
+      let prefix = base ^ "{monitor=\"" in
+      match List.find_opt (String.starts_with ~prefix) lines with
+      | None -> Alcotest.failf "no %s line" base
+      | Some line -> (
+          let stop = String.rindex line '}' - 1 in
+          let escaped =
+            String.sub line (String.length prefix)
+              (stop - String.length prefix)
+          in
+          match Obs.Registry.unescape_label_value escaped with
+          | Ok v -> Alcotest.(check string) base name v
+          | Error m -> Alcotest.failf "%s: %s in %S" base m line))
+    [
+      "vstamp_invariant_checks_total";
+      "vstamp_invariant_violations_total";
+      "vstamp_monitor_coverage";
+    ]
+
 (* --- System.run wiring: clean mechanisms never violate --- *)
 
 let test_run_clean () =
@@ -382,6 +410,8 @@ let () =
         [
           Alcotest.test_case "passing checks" `Quick test_monitor_pass;
           Alcotest.test_case "failing checks" `Quick test_monitor_fail;
+          Alcotest.test_case "label escaping" `Quick
+            test_monitor_label_escaping;
         ] );
       ( "sampling",
         [

@@ -1,4 +1,4 @@
-(* The [vstamp-sync/1] wire: framing and message codec totality under
+(* The [vstamp-sync/2] wire: framing and message codec totality under
    hostile input (truncation, oversized length announcements, bit
    flips), handshake rejection semantics, and real-TCP convergence of
    [Vstamp_net.Node] replicas on loopback. *)
@@ -168,6 +168,32 @@ let test_two_nodes_converge () =
           check_int "minimal delta unchanged" s0
             (counter ra "net_sync_minimal_bytes_total")))
 
+(* A value the responder lacks reaches it in Items and goes back
+   stamp-only in Result: the responder sends under 1 KiB for a 64 KiB
+   put.  Stopping the responder joins its session, so its counters are
+   final when read. *)
+let test_result_is_stamp_only () =
+  let ra = Registry.create () and rb = Registry.create () in
+  with_node ~registry:ra ~node_id:"a" (fun a ->
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          let value = String.make 65536 'v' in
+          N.put b ~key:"bulk" value;
+          let tx0 = counter ra "net_tx_bytes_total" in
+          check_int "one round" 1 (N.sync_now b);
+          N.stop a;
+          let sent = counter ra "net_tx_bytes_total" - tx0 in
+          check_bool
+            (Printf.sprintf "responder sent %d B, under 1 KiB" sent)
+            true (sent < 1024);
+          check_bool "responder has the value" true (N.get a "bulk" = [ value ]);
+          check_bool "initiator kept the value" true
+            (N.get b "bulk" = [ value ]);
+          check_int "no protocol error" 0
+            (counter ra "net_protocol_errors_total"
+            + counter rb "net_protocol_errors_total")))
+
 (* --- the store digest --- *)
 
 let fill n ~last =
@@ -286,6 +312,24 @@ let test_handshake_version_rejected () =
           check_bool "protocol error counted" true
             (counter r "net_protocol_errors_total" >= 1)))
 
+(* A [vstamp-sync/1] peer would store a stamp-only result as an empty
+   register, so its Hello (that version's magic, proto 1) is refused
+   before any reply. *)
+let test_v1_hello_refused () =
+  let r = Registry.create () in
+  with_node ~registry:r ~node_id:"a" (fun a ->
+      let fd = connect (N.port a) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let v1_hello = "\x01\x0dvstamp-sync/1\x01\x03old\x04tree" in
+          (match Frame.write fd v1_hello with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "write: %a" Frame.pp_error e);
+          check_int "connection closed, no Hello_ack" 0 (drain_read fd);
+          check_int "one protocol error" 1
+            (counter r "net_protocol_errors_total")))
+
 let test_garbage_frame_rejected () =
   let r = Registry.create () in
   with_node ~registry:r ~node_id:"a" (fun a ->
@@ -386,6 +430,33 @@ let test_dialer_backoff_on_dead_peer () =
                 (List.mem_assoc "last_error" peer)
           | _ -> Alcotest.fail "peers array shape")
       | _ -> Alcotest.fail "peers_json shape")
+
+(* Every frame is written whole and waits for its reply, so neither
+   end of a connection may hold a frame's tail back for Nagle's
+   algorithm. *)
+let test_tcp_nodelay () =
+  let module Tcp = Vstamp_obs.Tcp in
+  let server = Tcp.listen ~port:0 () in
+  let served = ref None in
+  Tcp.start server ~timeout_s:5.0 (fun fd ->
+      served := Some (Unix.getsockopt fd Unix.TCP_NODELAY);
+      ignore (Unix.write_substring fd "x" 0 1));
+  Fun.protect
+    ~finally:(fun () -> Tcp.stop server)
+    (fun () ->
+      match Tcp.connect ~host:"127.0.0.1" ~port:(Tcp.port server) ~timeout_s:5.0
+      with
+      | Error m -> Alcotest.failf "connect: %s" m
+      | Ok fd ->
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              check_bool "connect sets TCP_NODELAY" true
+                (Unix.getsockopt fd Unix.TCP_NODELAY);
+              (* the handler writes after reading the option *)
+              check_int "handler ran" 1 (Unix.read fd (Bytes.create 1) 0 1);
+              Alcotest.(check (option bool))
+                "an accepted socket has TCP_NODELAY" (Some true) !served))
 
 (* The one reconnect schedule, shared by the dialers and the CLI's
    --retry: 0.2 s doubling, capped at 5 s. *)
@@ -540,6 +611,8 @@ let () =
       ( "nodes",
         [
           Alcotest.test_case "two nodes converge" `Quick test_two_nodes_converge;
+          Alcotest.test_case "result is stamp-only" `Quick
+            test_result_is_stamp_only;
           Alcotest.test_case "digest sees every key" `Quick
             test_digest_sees_every_key;
           Alcotest.test_case "digest ignores history" `Quick
@@ -548,10 +621,13 @@ let () =
             test_store_gauges_exact;
           Alcotest.test_case "handshake version rejected" `Quick
             test_handshake_version_rejected;
+          Alcotest.test_case "vstamp-sync/1 hello refused" `Quick
+            test_v1_hello_refused;
           Alcotest.test_case "garbage frame rejected" `Quick
             test_garbage_frame_rejected;
           Alcotest.test_case "stamp past the depth cap rejected" `Quick
             test_deep_stamp_rejected;
+          Alcotest.test_case "TCP_NODELAY" `Quick test_tcp_nodelay;
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "backoff on dead peer" `Quick
             test_dialer_backoff_on_dead_peer;

@@ -129,6 +129,49 @@ let test_wire_second_round_ships_no_payload () =
   (* everything equal with matching digests: the minimal delta is 0 *)
   check_int "minimal second round" 0 tally.Ledger.minimal
 
+(* --- stamp-only results ---
+
+   A result whose candidates are exactly the ones the initiator shipped
+   goes back with its stamp alone; every other result carries its
+   candidates. *)
+
+(* [a] offers to [b] over the wire legs: [key]'s result entry, and
+   whether [apply] left [a] as an in-process [sync] does. *)
+let result_for ~a ~b key =
+  let frontier = KV.offer a in
+  let items = KV.fulfil a (KV.wants b frontier) in
+  let _, results = KV.reconcile b frontier items in
+  let a' = KV.apply a results in
+  let entries = List.filter (fun (k, _, _) -> k = key) results in
+  (List.map (fun (_, _, vs) -> vs) entries, state a' = state (fst (KV.sync a b)))
+
+(* Both sides hold [k] from one shared write, then [ops_a]/[ops_b]. *)
+let shared ops_a ops_b =
+  let a, b = KV.sync (build [ ("k", "v0") ]) KV.empty in
+  (build_on a ops_a, build_on b ops_b)
+
+let result_case name (a, b) expected () =
+  let values, same = result_for ~a ~b "k" in
+  Alcotest.(check (list (list string))) name [ expected ] values;
+  check_bool "apply = in-process sync" true same
+
+let stamp_only_cases =
+  [
+    ("initiator dominates", shared [ ("k", "a1") ] [], []);
+    ("initiator only", (build [ ("k", "x") ], KV.empty), []);
+    ("concurrent", shared [ ("k", "a1") ] [ ("k", "b1") ], [ "a1"; "b1" ]);
+    ("responder dominates", shared [] [ ("k", "b1") ], [ "b1" ]);
+    ("responder only", (KV.empty, build [ ("k", "y") ]), [ "y" ]);
+  ]
+
+let test_apply_stamp_only_absent () =
+  let s = build [ ("k", "v") ] in
+  let stamp = Option.get (KV.stamp s "k") in
+  let s' = KV.apply s [ ("absent", stamp, []) ] in
+  same_store "store unchanged" s s';
+  check_int "key count" 1 (KV.cardinal s');
+  check_int "digest" (KV.digest s) (KV.digest s')
+
 (* --- the qcheck equivalence property --- *)
 
 let gen_key = QCheck2.Gen.oneofl [ "alpha"; "beta"; "gamma"; "delta"; "eps" ]
@@ -172,6 +215,30 @@ let prop_wire_idempotent =
       let a, b, _ = wire_session a b in
       let a', b', tally = wire_session a b in
       state a = state a' && state b = state b' && tally.Ledger.minimal = 0)
+
+let prop_stamp_only_echoes =
+  QCheck2.Test.make
+    ~name:"a result is stamp-only iff it echoes the shipped candidates"
+    ~count:500 ~print:print_scenario gen_scenario (fun (base, ops_a, ops_b) ->
+      let s0 = build base in
+      let a0, b0 = KV.sync s0 KV.empty in
+      let a = build_on a0 ops_a and b = build_on b0 ops_b in
+      let frontier = KV.offer a in
+      let items = KV.fulfil a (KV.wants b frontier) in
+      let b', results = KV.reconcile b frontier items in
+      let a' = KV.apply a results in
+      List.for_all
+        (fun (key, _, values) ->
+          let shipped =
+            List.find_map
+              (fun (k, _, vs) -> if k = key then Some vs else None)
+              items
+          in
+          match (values, shipped) with
+          | [], Some vs -> vs = KV.get b' key && vs = KV.get a' key
+          | [], None -> false
+          | _, _ -> shipped <> Some (KV.get b' key))
+        results)
 
 (* --- the merge walk against the reference reconcile --- *)
 
@@ -501,11 +568,21 @@ let () =
           Alcotest.test_case "second round ships nothing" `Quick
             test_wire_second_round_ships_no_payload;
         ] );
+      ( "stamp-only",
+        List.map
+          (fun (name, pair, expected) ->
+            Alcotest.test_case name `Quick (result_case name pair expected))
+          stamp_only_cases
+        @ [
+            Alcotest.test_case "apply to an absent key" `Quick
+              test_apply_stamp_only_absent;
+          ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_wire_equivalence;
             prop_wire_idempotent;
+            prop_stamp_only_echoes;
             prop_reconcile_matches_reference;
           ] );
     ]
