@@ -706,7 +706,10 @@ let make_deep_stamp (type s) (module B : Backend.S with type Stamp.t = s)
    a node holding them; [kvs/reconcile] is one responder reconcile of
    the 640-entry frontier a writer offers after rewriting an 8-key
    window, 2 keys of it rewritten concurrently by the responder.
-   Returns the lanes and the node's stop. *)
+   [kvs/offer] is the writer building that frontier, [kvs/wants] the
+   responder answering it, and [proto/decode offer] the responder
+   reading the [Offer] message that carries it.  Returns the lanes and
+   the node's stop. *)
 let serve_cases () =
   let keys = Array.init 640 (Printf.sprintf "k%04d") in
   let values = Array.map (fun k -> Printf.sprintf "%-32s" k) keys in
@@ -730,6 +733,14 @@ let serve_cases () =
   in
   let frontier = KV.offer a in
   let items = KV.fulfil a (KV.wants b frontier) in
+  let offer_msg =
+    Vstamp_net.Proto.encode
+      (Offer
+         ( "",
+           List.map
+             (fun (k, st, d) -> (k, Vstamp_codec.Wire.stamp_to_string st, d))
+             frontier ))
+  in
   ( [
       ( "ops",
         "node/put k640",
@@ -739,6 +750,11 @@ let serve_cases () =
       ( "ops",
         "kvs/reconcile k640",
         fun () -> ignore (KV.reconcile b frontier items) );
+      ("ops", "kvs/offer k640", fun () -> ignore (KV.offer a));
+      ("ops", "kvs/wants k640", fun () -> ignore (KV.wants b frontier));
+      ( "ops",
+        "proto/decode offer k640",
+        fun () -> ignore (Vstamp_net.Proto.decode offer_msg) );
     ],
     fun () -> N.stop node )
 

@@ -317,7 +317,8 @@ let report_cluster dir output =
         let name = Filename.chop_suffix f ".tsdb.json" in
         match decode_dump (Filename.concat dir f) with
         | Error (`Unreadable m) ->
-            out "| `%s` | (unreadable: %s) | - |\n" name m
+            out "| `%s` | (unreadable: %s: %s) | - |\n" name
+              (Filename.concat dir f) m
         | Error (`Bad_json m) -> out "| `%s` | (bad JSON: %s) | - |\n" name m
         | Error (`Bad_dump m) -> out "| `%s` | (%s) | - |\n" name m
         | Ok (tsdb, _) ->

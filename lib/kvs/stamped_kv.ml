@@ -125,7 +125,7 @@ module Make (S : Stamp.S) = struct
 
     type meta = S.t
 
-    let keys = keys
+    let fold f t init = Smap.fold (fun key e acc -> f key e.reg acc) t.map init
 
     let find = find
 
@@ -139,8 +139,13 @@ module Make (S : Stamp.S) = struct
 
     let payload_bytes = value_bytes
 
+    (* The MD5 of the sorted candidates joined by NULs.  One candidate
+       joins to itself, so it is hashed in place: no sort, and no copy
+       of a value that may be 64 KiB. *)
     let digest item =
-      Digest.string (String.concat "\x00" (List.sort compare (R.read item)))
+      match R.read item with
+      | [ v ] -> Digest.string v
+      | vs -> Digest.string (String.concat "\x00" (List.sort compare vs))
 
     let of_meta ~key:_ m = R.restore ~stamp:m []
   end

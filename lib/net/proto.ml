@@ -54,41 +54,55 @@ let put_list b put xs =
 
 (* --- primitive readers ---
 
-   A reader is [string -> pos -> (value * pos) option]; [None] means
-   malformed and poisons the whole decode. *)
+   One cursor walks the message, and [Malformed] poisons the whole
+   decode.  Nothing is allocated but the strings and lists the message
+   holds. *)
 
-let ( let* ) o f = match o with None -> None | Some v -> f v
+exception Malformed
 
-let get_varint s pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len || shift > 56 then None
-    else
-      let c = Char.code s.[pos] in
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then Some (acc, pos + 1)
-      else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+type cursor = { s : string; mutable pos : int }
 
-let get_string s pos =
-  let* n, pos = get_varint s pos in
-  if n < 0 || pos + n > String.length s then None
-  else Some (String.sub s pos n, pos + n)
-
-let get_list get_elt s pos =
-  let* n, pos = get_varint s pos in
-  (* a count cannot exceed one element per remaining byte: reject
-     absurd announcements before looping *)
-  if n > String.length s - pos then None
+let rec varint c shift acc =
+  if c.pos >= String.length c.s || shift > 56 then raise_notrace Malformed
   else
-    let rec go i pos acc =
-      if i = 0 then Some (List.rev acc, pos)
-      else
-        let* v, pos = get_elt s pos in
-        go (i - 1) pos (v :: acc)
-    in
-    go n pos []
+    let b = Char.code (String.unsafe_get c.s c.pos) in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint c (shift + 7) acc
+
+let get_varint c = varint c 0 0
+
+(* A string's length or a list's count: neither can exceed the bytes
+   left (a list element takes at least one), so an absurd announcement
+   is rejected before anything is allocated. *)
+let get_count c =
+  let n = get_varint c in
+  if n < 0 || n > String.length c.s - c.pos then raise_notrace Malformed
+  else n
+
+let get_string c =
+  let n = get_count c in
+  let v = String.sub c.s c.pos n in
+  c.pos <- c.pos + n;
+  v
+
+(* A string that must equal [lit], compared in place. *)
+let expect c lit =
+  let n = get_count c in
+  let rec same i =
+    i = n || (c.s.[c.pos + i] = lit.[i] && same (i + 1))
+  in
+  if n <> String.length lit || not (same 0) then raise_notrace Malformed;
+  c.pos <- c.pos + n
+
+let get_list get_elt c =
+  let[@tail_mod_cons] rec go i =
+    if i = 0 then []
+    else
+      let v = get_elt c in
+      v :: go (i - 1)
+  in
+  go (get_count c)
 
 (* --- message codec --- *)
 
@@ -130,61 +144,43 @@ let encode msg =
   | Bye -> ());
   Buffer.contents b
 
-let get_hello s pos =
-  let* m, pos = get_string s pos in
-  if not (String.equal m magic) then None
-  else
-    let* proto, pos = get_varint s pos in
-    let* node_id, pos = get_string s pos in
-    let* backend, pos = get_string s pos in
-    Some ({ node_id; backend; proto }, pos)
+let get_hello c =
+  expect c magic;
+  let proto = get_varint c in
+  let node_id = get_string c in
+  let backend = get_string c in
+  { node_id; backend; proto }
 
-let get_frontier_entry s pos =
-  let* key, pos = get_string s pos in
-  let* stamp, pos = get_string s pos in
-  let* digest, pos = get_string s pos in
-  Some ((key, stamp, digest), pos)
+let get_frontier_entry c =
+  let key = get_string c in
+  let stamp = get_string c in
+  let digest = get_string c in
+  (key, stamp, digest)
 
-let get_delta_entry s pos =
-  let* key, pos = get_string s pos in
-  let* stamp, pos = get_string s pos in
-  let* values, pos = get_list get_string s pos in
-  Some ((key, stamp, values), pos)
+let get_delta_entry c =
+  let key = get_string c in
+  let stamp = get_string c in
+  let values = get_list get_string c in
+  (key, stamp, values)
 
 let decode s =
-  let fail = Error "malformed message" in
   if String.length s < 1 then Error "empty message"
   else
-    let finish pos v = if pos = String.length s then Ok v else fail in
-    let pos = 1 in
-    match Char.code s.[0] with
-    | 1 -> (
-        match get_hello s pos with
-        | Some (h, pos) -> finish pos (Hello h)
-        | None -> fail)
-    | 2 -> (
-        match get_hello s pos with
-        | Some (h, pos) -> finish pos (Hello_ack h)
-        | None -> fail)
-    | 3 -> (
-        match
-          let* header, pos = get_string s pos in
-          let* frontier, pos = get_list get_frontier_entry s pos in
-          Some ((header, frontier), pos)
-        with
-        | Some ((header, frontier), pos) -> finish pos (Offer (header, frontier))
-        | None -> fail)
-    | 4 -> (
-        match get_list get_string s pos with
-        | Some (keys, pos) -> finish pos (Want keys)
-        | None -> fail)
-    | 5 -> (
-        match get_list get_delta_entry s pos with
-        | Some (entries, pos) -> finish pos (Items entries)
-        | None -> fail)
-    | 6 -> (
-        match get_list get_delta_entry s pos with
-        | Some (entries, pos) -> finish pos (Result entries)
-        | None -> fail)
-    | 7 -> finish pos Bye
-    | t -> Error (Printf.sprintf "unknown message tag %d" t)
+    let c = { s; pos = 1 } in
+    let body () =
+      match Char.code s.[0] with
+      | 1 -> Some (Hello (get_hello c))
+      | 2 -> Some (Hello_ack (get_hello c))
+      | 3 ->
+          let header = get_string c in
+          Some (Offer (header, get_list get_frontier_entry c))
+      | 4 -> Some (Want (get_list get_string c))
+      | 5 -> Some (Items (get_list get_delta_entry c))
+      | 6 -> Some (Result (get_list get_delta_entry c))
+      | 7 -> Some Bye
+      | _ -> None
+    in
+    match body () with
+    | Some msg when c.pos = String.length s -> Ok msg
+    | Some _ | (exception Malformed) -> Error "malformed message"
+    | None -> Error (Printf.sprintf "unknown message tag %d" (Char.code s.[0]))

@@ -1,6 +1,14 @@
+(* [Sys_error] names the file when the open fails and not when a read
+   does (a directory opens, then reads "Is a directory"): keep the
+   reason alone, so every caller names the file once. *)
 let read_file file =
   try Ok (In_channel.with_open_bin file In_channel.input_all)
-  with Sys_error m -> Error m
+  with Sys_error m ->
+    let prefix = file ^ ": " in
+    let n = String.length prefix in
+    Error
+      (if String.starts_with ~prefix m then String.sub m n (String.length m - n)
+       else m)
 
 let lines parse text =
   let rec go lineno acc = function

@@ -2,7 +2,9 @@
     bench ledgers, and the one whole-file read behind every loader. *)
 
 val read_file : string -> (string, string) result
-(** The file's bytes, or the [Sys_error] message. *)
+(** The file's bytes, or why they could not be read: the [Sys_error]
+    reason without the file name (["No such file or directory"], ["Is
+    a directory"]), which the caller adds once. *)
 
 val parse :
   (string -> ('a, string) result) -> string -> ('a list, string) result

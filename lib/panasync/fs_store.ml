@@ -53,7 +53,9 @@ let load ~dir ~name =
   else
     try
       let read file =
-        Result.fold ~ok:Fun.id ~error:failwith (Vstamp_obs.Jsonl.read_file file)
+        match Vstamp_obs.Jsonl.read_file file with
+        | Ok text -> text
+        | Error m -> failwith (file ^ ": " ^ m)
       in
       let store =
         List.fold_left

@@ -52,6 +52,7 @@ end) : sig
   (** Insert or replace the copy at its own path. *)
 
   val fold : (file -> 'a -> 'a) -> t -> 'a -> 'a
+  (** In ascending path order. *)
 
   val total_tracking_bits : t -> int
   (** Total stamp overhead across the store. *)

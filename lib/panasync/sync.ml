@@ -123,7 +123,7 @@ module Make (F : sig
 end) (St : sig
   type t
 
-  val paths : t -> string list
+  val fold : (F.t -> 'a -> 'a) -> t -> 'a -> 'a
 
   val find : t -> string -> F.t option
 
@@ -245,7 +245,7 @@ struct
 
     type meta = F.meta
 
-    let keys = St.paths
+    let fold f store init = St.fold (fun c acc -> f (F.path c) c acc) store init
 
     let find = St.find
 
@@ -319,12 +319,13 @@ struct
      being indistinguishable to any reader, and a session on them is a
      no-op.) *)
   let converged left right =
-    List.for_all
-      (fun path ->
-        match (St.find left path, St.find right path) with
-        | Some a, Some b -> String.equal (F.content a) (F.content b)
-        | _ -> false)
-      (List.sort_uniq compare (St.paths left @ St.paths right))
+    let held_by other c =
+      match St.find other (F.path c) with
+      | Some o -> String.equal (F.content c) (F.content o)
+      | None -> false
+    in
+    St.fold (fun c ok -> ok && held_by right c) left true
+    && St.fold (fun c ok -> ok && held_by left c) right true
 end
 
 module Over_tree = Make (File_copy.Over_tree) (Store.Over_tree)

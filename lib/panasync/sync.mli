@@ -91,7 +91,9 @@ module Make (F : sig
 end) (St : sig
   type t
 
-  val paths : t -> string list
+  val fold : (F.t -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Every copy once, in ascending path order, each under its own
+      path. *)
 
   val find : t -> string -> F.t option
 

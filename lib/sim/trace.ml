@@ -88,7 +88,7 @@ let save ~file ops =
 let load ~file =
   match Vstamp_obs.Jsonl.read_file file with
   | Ok content -> of_string (String.trim content)
-  | Error m -> raise (Sys_error m)
+  | Error m -> raise (Sys_error (file ^ ": " ^ m))
 
 let stats ops =
   let u, f, j =

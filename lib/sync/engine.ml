@@ -35,7 +35,7 @@ module type STORE = sig
 
   type meta
 
-  val keys : t -> string list
+  val fold : (string -> item -> 'a -> 'a) -> t -> 'a -> 'a
 
   val find : t -> string -> item option
 
@@ -84,27 +84,56 @@ module Make (S : STORE) = struct
   type entry = { e_key : string; e_item : S.item }
 
   let offer store =
-    List.filter_map
-      (fun key ->
-        Option.map
-          (fun item ->
-            { f_key = key; f_meta = S.meta_of item; f_digest = S.digest item })
-          (S.find store key))
-      (S.keys store)
+    List.rev
+      (S.fold
+         (fun key item acc ->
+           { f_key = key; f_meta = S.meta_of item; f_digest = S.digest item }
+           :: acc)
+         store [])
+
+  let rec ascending = function
+    | a :: (b :: _ as rest) ->
+        String.compare a.f_key b.f_key < 0 && ascending rest
+    | _ -> true
+
+  (* Leg 2's rule for an offered entry whose key is held here; a key
+     not held here is always wanted. *)
+  let wanted f item =
+    match S.relation f.f_meta (S.meta_of item) with
+    | Relation.Dominates -> true
+    | Relation.Dominated -> false
+    | Relation.Equal | Relation.Concurrent ->
+        not (String.equal f.f_digest (S.digest item))
 
   let wants store frontier =
-    List.filter_map
-      (fun f ->
-        match S.find store f.f_key with
-        | None -> Some f.f_key
-        | Some item -> (
-            match S.relation f.f_meta (S.meta_of item) with
-            | Relation.Dominates -> Some f.f_key
-            | Relation.Dominated -> None
-            | Relation.Equal | Relation.Concurrent ->
-                if String.equal f.f_digest (S.digest item) then None
-                else Some f.f_key))
-      frontier
+    if ascending frontier then
+      (* Merge the frontier with the store's entries, both ascending:
+         [rest] is the part of the frontier not yet reached, and a key
+         passed over before the next stored one is not held here. *)
+      let rest, wanted_rev =
+        S.fold
+          (fun key item (rest, acc) ->
+            let rec drain rest acc =
+              match rest with
+              | [] -> (rest, acc)
+              | f :: fs ->
+                  let c = String.compare f.f_key key in
+                  if c < 0 then drain fs (f.f_key :: acc)
+                  else if c > 0 then (rest, acc)
+                  else (fs, if wanted f item then f.f_key :: acc else acc)
+            in
+            drain rest acc)
+          store (frontier, [])
+      in
+      List.rev_append wanted_rev (List.map (fun f -> f.f_key) rest)
+    else
+      (* peer input: entry by entry, duplicates included *)
+      List.filter_map
+        (fun f ->
+          match S.find store f.f_key with
+          | Some item when not (wanted f item) -> None
+          | _ -> Some f.f_key)
+        frontier
 
   let fulfil store wanted =
     List.filter_map
@@ -121,11 +150,6 @@ module Make (S : STORE) = struct
     | Some t -> Ledger.add t ~shipped:report.shipped ~minimal:report.minimal
     | None -> ());
     match on_report with Some f -> f report | None -> ()
-
-  let rec ascending = function
-    | a :: (b :: _ as rest) ->
-        String.compare a.f_key b.f_key < 0 && ascending rest
-    | _ -> true
 
   (* The frontier is peer input, and the walk needs its keys strictly
      ascending.  Any other frontier is sorted, and of several entries
@@ -162,65 +186,68 @@ module Make (S : STORE) = struct
       let charge = { meta_a; meta_b = 0; payload = S.payload_bytes item } in
       settle acc key (Some exchange) None Created charge
     in
-    (* One key of the union: [offered] is its frontier entry, if any. *)
-    let step ((store, _, _) as acc) key offered =
-      match (offered, S.find store key) with
-      | None, None -> acc
-      | None, Some item ->
-          (* responder-only entry: replicate it for the initiator *)
-          created acc key (config.replicate item)
-            ~meta_a:(S.meta_bytes (S.meta_of item))
-            item
-      | Some f, None -> (
-          match Smap.find_opt key received with
-          | None ->
-              (* requested but not delivered: skip, no charge *)
-              acc
-          | Some item ->
-              (* initiator-only entry: fork it, keep the peer branch *)
-              let mine, theirs = config.replicate item in
+    (* A key held here alone: replicate it for the initiator. *)
+    let held_only acc key item =
+      created acc key (config.replicate item)
+        ~meta_a:(S.meta_bytes (S.meta_of item))
+        item
+    in
+    (* A key offered alone: fork the delivered item, keep the peer
+       branch.  One requested but not delivered is skipped, with no
+       charge. *)
+    let offered_only acc f =
+      match Smap.find_opt f.f_key received with
+      | None -> acc
+      | Some item ->
+          let mine, theirs = config.replicate item in
+          let meta_a = S.meta_bytes f.f_meta in
+          created acc f.f_key (theirs, mine) ~meta_a item
+    in
+    let both acc key f mine_item =
+      let reconcile_with item_a =
+        let v = config.reconcile ~key item_a mine_item in
+        settle acc key
+          (Some (v.item_b, v.item_a))
+          (Some v.relation) v.outcome v.charge
+      in
+      match Smap.find_opt key received with
+      | Some item_a -> reconcile_with item_a
+      | None -> (
+          match S.relation f.f_meta (S.meta_of mine_item) with
+          | Relation.Dominated ->
+              (* we dominate: rebuild the initiator's side from the
+                 frontier alone — propagation never reads the dominated
+                 payload *)
+              reconcile_with (S.of_meta ~key f.f_meta)
+          | rel ->
+              (* observationally equal (matching digest): the exchange
+                 is elided, only metadata compared *)
               let meta_a = S.meta_bytes f.f_meta in
-              created acc key (theirs, mine) ~meta_a item)
-      | Some f, Some mine_item -> (
-          let reconcile_with item_a =
-            let v = config.reconcile ~key item_a mine_item in
-            settle acc key
-              (Some (v.item_b, v.item_a))
-              (Some v.relation) v.outcome v.charge
+              let meta_b = S.meta_bytes (S.meta_of mine_item) in
+              let charge = { meta_a; meta_b; payload = 0 } in
+              settle acc key None (Some rel) Unchanged charge)
+    in
+    (* Merge the offer with the store's entries, both ascending: the
+       sorted union, each key once.  The fold reads the store it was
+       given while the steps build the updated one, each touching only
+       the key in hand. *)
+    let acc, rest =
+      S.fold
+        (fun key item (acc, rest) ->
+          let rec drain acc rest =
+            match rest with
+            | [] -> (held_only acc key item, rest)
+            | f :: fs ->
+                let c = String.compare f.f_key key in
+                if c < 0 then drain (offered_only acc f) fs
+                else if c > 0 then (held_only acc key item, rest)
+                else (both acc key f item, fs)
           in
-          match Smap.find_opt key received with
-          | Some item_a -> reconcile_with item_a
-          | None -> (
-              match S.relation f.f_meta (S.meta_of mine_item) with
-              | Relation.Dominated ->
-                  (* we dominate: rebuild the initiator's side from
-                     the frontier alone — propagation never reads
-                     the dominated payload *)
-                  reconcile_with (S.of_meta ~key f.f_meta)
-              | rel ->
-                  (* observationally equal (matching digest): the
-                     exchange is elided, only metadata compared *)
-                  let meta_a = S.meta_bytes f.f_meta in
-                  let meta_b = S.meta_bytes (S.meta_of mine_item) in
-                  let charge = { meta_a; meta_b; payload = 0 } in
-                  settle acc key None (Some rel) Unchanged charge))
+          drain acc rest)
+        store
+        ((store, [], []), normalise frontier)
     in
-    (* Merge the offer with the store's keys, both ascending: the
-       sorted union, each key once. *)
-    let rec walk acc offered keys =
-      match (offered, keys) with
-      | [], [] -> acc
-      | f :: fs, k :: ks ->
-          let c = String.compare f.f_key k in
-          if c = 0 then walk (step acc k (Some f)) fs ks
-          else if c < 0 then walk (step acc f.f_key (Some f)) fs keys
-          else walk (step acc k None) offered ks
-      | f :: fs, [] -> walk (step acc f.f_key (Some f)) fs []
-      | [], k :: ks -> walk (step acc k None) [] ks
-    in
-    let store, results_rev, reports_rev =
-      walk (store, [], []) (normalise frontier) (S.keys store)
-    in
+    let store, results_rev, reports_rev = List.fold_left offered_only acc rest in
     (store, List.rev results_rev, List.rev reports_rev)
 
   let apply store results =

@@ -64,7 +64,11 @@ val delta : outcome -> charge -> int * int
 (** What {!Make} needs from a store: a sorted key space of items, each
     carrying comparable causality metadata ([meta]) and a payload
     fingerprint ([digest]), plus the phantom constructor ([of_meta])
-    that rebuilds a payload-less item from offered frontier metadata. *)
+    that rebuilds a payload-less item from offered frontier metadata.
+
+    The store is persistent: [set] returns a new store and leaves the
+    one it was given as it was, so {!Make.reconcile} can walk the
+    store's entries with [fold] while it builds the updated one. *)
 module type STORE = sig
   type t
 
@@ -72,10 +76,15 @@ module type STORE = sig
 
   type meta
 
-  val keys : t -> string list
-  (** Sorted, unique. *)
+  val fold : (string -> item -> 'a -> 'a) -> t -> 'a -> 'a
+  (** [fold f t init] visits every entry once, in strictly ascending
+      key order: the one traversal {!Make.offer}, {!Make.wants} and
+      {!Make.reconcile} make of the store, in place of a key list and
+      one [find] per key. *)
 
   val find : t -> string -> item option
+  (** One entry: used for the keys a peer names ({!Make.fulfil}, and
+      {!Make.wants} on a frontier that is not strictly ascending). *)
 
   val set : t -> string -> item -> t
 
@@ -133,13 +142,22 @@ module Make (S : STORE) : sig
   type entry = { e_key : string; e_item : S.item }
 
   val offer : S.t -> frontier_entry list
-  (** Leg 1 (initiator): the full frontier, sorted by key. *)
+  (** Leg 1 (initiator): the full frontier, sorted by key — one
+      {!STORE.fold} over the store. *)
 
   val wants : S.t -> frontier_entry list -> string list
   (** Leg 2 (responder): the keys whose full items the responder needs
       — ones it lacks, is dominated on, or holds concurrent/equal with
-      a different payload.  Entries the responder dominates, and
-      observationally equal ones, are deliberately not requested. *)
+      a different payload — in frontier order.  Entries the responder
+      dominates, and observationally equal ones, are deliberately not
+      requested.
+
+      A strictly ascending frontier (what {!offer} sends) is merged
+      with one {!STORE.fold}, so the leg visits each key once whatever
+      the frontier's length: the responder's {!reconcile} walks the
+      whole store anyway.  Any other frontier is peer input and is
+      answered entry by entry with [find], duplicates included, so the
+      answer is the same list either way. *)
 
   val fulfil : S.t -> string list -> entry list
   (** Leg 3 (initiator): the requested items, in request order. *)
@@ -160,11 +178,12 @@ module Make (S : STORE) : sig
       the initiator's halves (leg 5's payload), and one report per key
       in sorted order.  Every report is charged to [ledger]/[tally].
 
-      The walk is one merge of the frontier with {!STORE.keys}, so it
-      costs one [find] per key of the union.  The frontier may come in
-      any order: one that is not strictly ascending is sorted first,
-      and of several entries for one key the last wins.  Items for keys
-      the frontier does not offer are ignored. *)
+      The walk is one merge of the frontier with one {!STORE.fold}, so
+      each key of the union is visited once and no key is looked up.
+      The frontier may come in any order: one that is not strictly
+      ascending is sorted first, and of several entries for one key the
+      last wins.  Items for keys the frontier does not offer are
+      ignored. *)
 
   val apply : S.t -> entry list -> S.t
   (** Final leg (initiator): adopt the responder's results. *)

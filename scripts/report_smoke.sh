@@ -3,7 +3,8 @@
 # rule-triggering run; scrape the recorded history via /range.json and
 # the alert plane via /alerts.json; verify that a rule still firing at
 # shutdown makes soak exit non-zero; and render the markdown
-# post-mortem from the --tsdb-out dump with `vstamp report`.
+# post-mortem from the --tsdb-out dump with `vstamp report`, whose
+# error for a missing dump names the path once.
 # Wired to the @report-smoke dune alias (see the root dune file); not
 # part of @runtest so the tier-1 suite stays fast.
 set -eu
@@ -126,6 +127,18 @@ grep -q 'runtime_heap_words' "$tmpdir/report.md"
 # every table row is well-formed markdown (starts and ends with a pipe)
 if grep '^|' "$tmpdir/report.md" | grep -qv '|$'; then
   echo "report emitted a torn markdown table row" >&2
+  exit 1
+fi
+
+# an unreadable dump is one error line that names the path once
+missing="$tmpdir/missing.tsdb.json"
+if "$VSTAMP" report --dump "$missing" 2> "$tmpdir/missing.err"; then
+  echo "report rendered a missing dump" >&2
+  exit 1
+fi
+if [ "$(grep -o "$missing" "$tmpdir/missing.err" | wc -l)" -ne 1 ]; then
+  echo "report --dump does not name a missing dump exactly once:" >&2
+  cat "$tmpdir/missing.err" >&2
   exit 1
 fi
 

@@ -136,6 +136,40 @@ let test_jsonl_line_numbers () =
             (bad_third_line {|{"schema":"vstamp-bench-core/3"}|}));
       names_line_3 "Bench_store.history" (Bench_store.history ~file))
 
+(* An unreadable file is named once in every error about it:
+   [read_file] gives the reason alone, whether the open fails (a
+   missing file) or a read does (a directory, which opens), and each
+   loader adds the name. *)
+let test_read_errors_name_the_file_once () =
+  let dir = Filename.temp_dir "vstamp_formats" "" in
+  let missing = Filename.concat dir "missing.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun file ->
+          let reason =
+            match Jsonl.read_file file with
+            | Ok _ -> Alcotest.failf "%s: read" file
+            | Error m -> m
+          in
+          Alcotest.(check bool)
+            (reason ^ ": a reason, without the file")
+            true
+            (reason <> "" && not (contains reason file));
+          let named = file ^ ": " ^ reason in
+          let check what got =
+            Alcotest.(check (result reject string)) what (Error named) got
+          in
+          check "Jsonl.load" (Jsonl.load Jsonx.of_string file);
+          check "Bench_store.load" (Bench_store.load ~file);
+          check "Bench_store.history" (Bench_store.history ~file);
+          check "Trace.load"
+            (match Trace.load ~file with
+            | _ -> Ok ()
+            | exception Sys_error m -> Error m))
+        [ missing; dir ])
+
 let () =
   Alcotest.run "formats"
     [
@@ -153,5 +187,7 @@ let () =
           Alcotest.test_case "DOT line breaks" `Quick test_dot_line_breaks;
           Alcotest.test_case "JSONL line numbers" `Quick
             test_jsonl_line_numbers;
+          Alcotest.test_case "read errors name the file once" `Quick
+            test_read_errors_name_the_file_once;
         ] );
     ]

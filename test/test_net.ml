@@ -117,6 +117,182 @@ let prop_proto_truncation =
       | Ok _ -> String.length s = 0
       | exception _ -> false)
 
+(* [Proto.decode] before the one-cursor reader, kept verbatim as the
+   reference: each field reader returns the value and the next
+   position in an option. *)
+module Decode_ref = struct
+  let ( let* ) o f = match o with None -> None | Some v -> f v
+
+  let get_varint s pos =
+    let len = String.length s in
+    let rec go pos shift acc =
+      if pos >= len || shift > 56 then None
+      else
+        let c = Char.code s.[pos] in
+        let acc = acc lor ((c land 0x7f) lsl shift) in
+        if c land 0x80 = 0 then Some (acc, pos + 1)
+        else go (pos + 1) (shift + 7) acc
+    in
+    go pos 0 0
+
+  let get_string s pos =
+    let* n, pos = get_varint s pos in
+    if n < 0 || pos + n > String.length s then None
+    else Some (String.sub s pos n, pos + n)
+
+  let get_list get_elt s pos =
+    let* n, pos = get_varint s pos in
+    if n > String.length s - pos then None
+    else
+      let rec go i pos acc =
+        if i = 0 then Some (List.rev acc, pos)
+        else
+          let* v, pos = get_elt s pos in
+          go (i - 1) pos (v :: acc)
+      in
+      go n pos []
+
+  let get_hello s pos =
+    let* m, pos = get_string s pos in
+    if not (String.equal m Proto.magic) then None
+    else
+      let* proto, pos = get_varint s pos in
+      let* node_id, pos = get_string s pos in
+      let* backend, pos = get_string s pos in
+      Some ({ Proto.node_id; backend; proto }, pos)
+
+  let get_frontier_entry s pos =
+    let* key, pos = get_string s pos in
+    let* stamp, pos = get_string s pos in
+    let* digest, pos = get_string s pos in
+    Some ((key, stamp, digest), pos)
+
+  let get_delta_entry s pos =
+    let* key, pos = get_string s pos in
+    let* stamp, pos = get_string s pos in
+    let* values, pos = get_list get_string s pos in
+    Some ((key, stamp, values), pos)
+
+  let decode s =
+    let fail = Error "malformed message" in
+    if String.length s < 1 then Error "empty message"
+    else
+      let finish pos v = if pos = String.length s then Ok v else fail in
+      let pos = 1 in
+      match Char.code s.[0] with
+      | 1 -> (
+          match get_hello s pos with
+          | Some (h, pos) -> finish pos (Proto.Hello h)
+          | None -> fail)
+      | 2 -> (
+          match get_hello s pos with
+          | Some (h, pos) -> finish pos (Proto.Hello_ack h)
+          | None -> fail)
+      | 3 -> (
+          match
+            let* header, pos = get_string s pos in
+            let* frontier, pos = get_list get_frontier_entry s pos in
+            Some ((header, frontier), pos)
+          with
+          | Some ((header, frontier), pos) ->
+              finish pos (Proto.Offer (header, frontier))
+          | None -> fail)
+      | 4 -> (
+          match get_list get_string s pos with
+          | Some (keys, pos) -> finish pos (Proto.Want keys)
+          | None -> fail)
+      | 5 -> (
+          match get_list get_delta_entry s pos with
+          | Some (entries, pos) -> finish pos (Proto.Items entries)
+          | None -> fail)
+      | 6 -> (
+          match get_list get_delta_entry s pos with
+          | Some (entries, pos) -> finish pos (Proto.Result entries)
+          | None -> fail)
+      | 7 -> finish pos Proto.Bye
+      | t -> Error (Printf.sprintf "unknown message tag %d" t)
+end
+
+(* The reference is not total: a string length near [max_int]
+   overflows its bounds check and [String.sub] raises.  There the
+   reader must say the message is malformed. *)
+let decoders_agree input =
+  match (Proto.decode input, Decode_ref.decode input) with
+  | got, expected -> got = expected
+  | exception Invalid_argument _ ->
+      Proto.decode input = Error "malformed message"
+
+let test_proto_length_overflow () =
+  let input = "\x04\x01" ^ String.make 8 '\xff' ^ "\x3f" in
+  Alcotest.(check (result reject string))
+    "length near max_int" (Error "malformed message") (Proto.decode input);
+  check_bool "the reference raises" true
+    (match Decode_ref.decode input with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let gen_field =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ ""; "k"; Proto.magic; "\x00\xff" ];
+        string_size ~gen:char (int_bound 12);
+      ])
+
+let gen_random_msg =
+  let open QCheck2.Gen in
+  let hello =
+    map3
+      (fun node_id backend proto -> { Proto.node_id; backend; proto })
+      gen_field gen_field
+      (oneof [ int_bound 300; map abs int ])
+  in
+  let entries g = list_size (int_bound 4) g in
+  oneof
+    [
+      map (fun h -> Proto.Hello h) hello;
+      map (fun h -> Proto.Hello_ack h) hello;
+      map2
+        (fun h f -> Proto.Offer (h, f))
+        gen_field
+        (entries (triple gen_field gen_field gen_field));
+      map (fun ks -> Proto.Want ks) (entries gen_field);
+      map
+        (fun es -> Proto.Items es)
+        (entries (triple gen_field gen_field (entries gen_field)));
+      map
+        (fun es -> Proto.Result es)
+        (entries (triple gen_field gen_field (entries gen_field)));
+      return Proto.Bye;
+    ]
+
+(* Random bytes (some behind a known tag), encodings of random
+   messages, and those encodings cut short or with one byte
+   replaced. *)
+let gen_decoder_input =
+  let open QCheck2.Gen in
+  let encoded = map Proto.encode gen_random_msg in
+  oneof
+    [
+      gen_bytes;
+      map2 (fun t s -> String.make 1 (Char.chr t) ^ s) (int_range 0 9) gen_bytes;
+      encoded;
+      map2
+        (fun s cut -> String.sub s 0 (cut mod (String.length s + 1)))
+        encoded nat;
+      map3
+        (fun s at b ->
+          let s = Bytes.of_string s in
+          let at = at mod Bytes.length s in
+          Bytes.set s at (Char.chr b);
+          Bytes.to_string s)
+        encoded nat (int_bound 255);
+    ]
+
+let prop_proto_decode_matches_reference =
+  QCheck2.Test.make ~name:"message decoder = the reference" ~count:3000
+    ~print:String.escaped gen_decoder_input decoders_agree
+
 (* --- live nodes on loopback --- *)
 
 let with_node ?(peers = fun _ -> []) ~registry ~node_id f =
@@ -607,6 +783,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_proto_decode_total;
           QCheck_alcotest.to_alcotest prop_proto_bitflip;
           QCheck_alcotest.to_alcotest prop_proto_truncation;
+          Alcotest.test_case "length overflow" `Quick
+            test_proto_length_overflow;
+          QCheck_alcotest.to_alcotest prop_proto_decode_matches_reference;
         ] );
       ( "nodes",
         [

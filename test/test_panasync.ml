@@ -188,6 +188,9 @@ let test_independent_identical_creation_ok () =
 let test_session_disjoint_files () =
   let a = Store.add_new (Store.create ~name:"a") ~path:"x" ~content:"1" in
   let b = Store.add_new (Store.create ~name:"b") ~path:"y" ~content:"2" in
+  let empty = Store.create ~name:"e" in
+  check_bool "a path on one side only" false
+    (Sync.converged empty a || Sync.converged a empty);
   let a, b, reports = Sync.session a b in
   check_int "two creations" 2 (List.length reports);
   check_bool "both have both" true

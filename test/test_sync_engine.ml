@@ -3,8 +3,9 @@
    (offer / wants / fulfil / reconcile / apply, what [Vstamp_net] ships
    between processes) produces stores identical to the in-process
    [Stamped_kv.sync], while never shipping more than a full-state
-   exchange of the two replicas.  The merge-walk [reconcile] is checked
-   against the reconcile it replaced, on frontiers in any order. *)
+   exchange of the two replicas.  The ordered walks of [offer], [wants]
+   and [reconcile] are checked against the legs they replaced, on
+   frontiers in any order. *)
 
 open Vstamp_kvs
 module Ledger = Vstamp_sync.Ledger
@@ -255,7 +256,7 @@ module Ts = struct
 
   type meta = St.t
 
-  let keys t = List.map fst (Smap.bindings t)
+  let fold = Smap.fold
 
   let find t key = Smap.find_opt key t
 
@@ -274,6 +275,43 @@ module Ts = struct
     Digest.string (String.concat "\x00" (List.sort compare (Reg.read r)))
 
   let of_meta ~key:_ m = Reg.restore ~stamp:m []
+end
+
+(* The store's sorted keys, read through the one traversal [STORE]
+   gives: what the references below take in place of the [keys] the
+   store interface had before it gave the engine its entries. *)
+let keys_of (type t) (module S : Engine.STORE with type t = t) store =
+  List.rev (S.fold (fun key _ keys -> key :: keys) store [])
+
+(* The engine's [offer] and [wants] before the ordered walks, kept as
+   the reference: a key list plus one [find] per key, and one [find]
+   per frontier entry. *)
+module Legs_ref (S : Engine.STORE) = struct
+  open Vstamp_core
+  open Engine.Make (S)
+
+  let offer store =
+    List.filter_map
+      (fun key ->
+        Option.map
+          (fun item ->
+            { f_key = key; f_meta = S.meta_of item; f_digest = S.digest item })
+          (S.find store key))
+      (keys_of (module S) store)
+
+  let wants store frontier =
+    List.filter_map
+      (fun f ->
+        match S.find store f.f_key with
+        | None -> Some f.f_key
+        | Some item -> (
+            match S.relation f.f_meta (S.meta_of item) with
+            | Relation.Dominates -> Some f.f_key
+            | Relation.Dominated -> None
+            | Relation.Equal | Relation.Concurrent ->
+                if String.equal f.f_digest (S.digest item) then None
+                else Some f.f_key))
+      frontier
 end
 
 (* The engine's [reconcile] before the merge walk, kept verbatim as the
@@ -302,7 +340,7 @@ module Reconcile_ref (S : Engine.STORE) = struct
     in
     let all_keys =
       List.sort_uniq String.compare
-        (List.map (fun f -> f.f_key) frontier @ S.keys store)
+        (List.map (fun f -> f.f_key) frontier @ keys_of (module S) store)
     in
     let emit report = charge_for ledger tally on_report report in
     let store, results_rev, reports_rev =
@@ -423,6 +461,7 @@ end
 
 module E = Engine.Make (Ts)
 module Ref = Reconcile_ref (Ts)
+module Legs = Legs_ref (Ts)
 
 let config =
   {
@@ -552,6 +591,60 @@ let prop_reconcile_matches_reference =
       = run (fun ~tally ~on_report ->
             Ref.reconcile ~tally ~on_report config b frontier items))
 
+(* The stores and the peer frontier of one drawn case, as
+   [prop_reconcile_matches_reference] builds them. *)
+let drawn ((base, ops_a, ops_b), shape, extra, seed) =
+  let s0 = ts_build Smap.empty base in
+  let a0, b0, _ = E.session config s0 Smap.empty in
+  let a = ts_build a0 ops_a and b = ts_build b0 ops_b in
+  let st = Random.State.make [| seed |] in
+  let frontier, _items = peer_input st ~shape ~extra a0 a b in
+  (a0, a, b, frontier)
+
+let prop_offer_matches_reference =
+  QCheck2.Test.make ~name:"walked offer = reference" ~count:500
+    ~print:print_reconcile_case gen_reconcile_case (fun case ->
+      let a0, a, b, _ = drawn case in
+      List.for_all
+        (fun s -> E.offer s = Legs.offer s)
+        [ Smap.empty; a0; a; b ])
+
+(* Every shape [peer_input] draws: the ascending ones take the merge
+   walk, the shuffled and duplicated ones the per-entry lookups; keys
+   go missing on either side. *)
+let prop_wants_matches_reference =
+  QCheck2.Test.make ~name:"merge-walk wants = reference" ~count:500
+    ~print:print_reconcile_case gen_reconcile_case (fun case ->
+      let a0, a, b, frontier = drawn case in
+      List.for_all
+        (fun s -> E.wants s frontier = Legs.wants s frontier)
+        [ Smap.empty; a0; a; b ])
+
+(* [Stamped_kv]'s frontier digest is the MD5 of a register's sorted
+   candidates joined by NULs, whatever their number: a lone candidate,
+   hashed in place, gives the same bytes. *)
+let prop_offer_digest =
+  let gen_value =
+    QCheck2.Gen.(
+      oneof [ oneofl [ ""; "a"; "b"; "\x00"; "a\x00" ]; string_size (int_bound 6) ])
+  in
+  QCheck2.Test.make ~name:"offer digest = MD5 of the candidates" ~count:500
+    ~print:QCheck2.Print.(list string)
+    QCheck2.Gen.(
+      oneof
+        [
+          list_size (int_range 1 3) gen_value;
+          map (fun v -> [ v; v ]) gen_value;
+          map2 (fun v w -> [ v; w; v ]) gen_value gen_value;
+        ])
+    (fun vs ->
+      let stamp = Option.get (KV.stamp (KV.put KV.empty ~key:"k" "x") "k") in
+      match KV.offer (KV.apply KV.empty [ ("k", stamp, vs) ]) with
+      | [ ("k", _, digest) ] ->
+          String.equal digest
+            (Digest.string (String.concat "\x00" (List.sort compare vs)))
+      | _ -> false)
+
 let () =
   Alcotest.run "sync engine"
     [
@@ -584,5 +677,8 @@ let () =
             prop_wire_idempotent;
             prop_stamp_only_echoes;
             prop_reconcile_matches_reference;
+            prop_offer_matches_reference;
+            prop_wants_matches_reference;
+            prop_offer_digest;
           ] );
     ]
