@@ -107,9 +107,7 @@ let metrics tracker workload seed n_ops format =
   Telemetry.attach ~registry ();
   Fun.protect ~finally:Telemetry.detach (fun () ->
       let (_ : System.result) =
-        System.run ~with_oracle:false ~registry
-          (Tracker.with_metrics ~registry tracker)
-          ops
+        System.run ~with_oracle:false ~registry tracker ops
       in
       (* exercise the wire codec on the final stamp frontier so the
          encoded/decoded byte counters mean something *)

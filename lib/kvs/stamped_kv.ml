@@ -187,9 +187,15 @@ module Make (S : Stamp.S) = struct
     { E.span_session = "kvs.sync"; span_apply = "kvs.apply"; unit_key = "keys" }
 
   let sync a b =
-    let a, b, _reports =
-      E.session ?ledger:!Obs.state ~spans engine_config a b
-    in
+    let a, b, reports = E.session ~spans engine_config a b in
+    Option.iter
+      (fun c ->
+        Ledger.round c;
+        List.iter
+          (fun (r : Engine.report) ->
+            Ledger.account c ~shipped:r.shipped ~minimal:r.minimal)
+          reports)
+      !Obs.state;
     (a, b)
 
   (* --- wire-level legs ---
@@ -205,12 +211,6 @@ module Make (S : Stamp.S) = struct
 
   type delta = (string * S.t * string list) list
 
-  let to_frontier fs =
-    List.map (fun f -> (f.E.f_key, f.E.f_meta, f.E.f_digest)) fs
-
-  let of_frontier fs =
-    List.map (fun (k, m, d) -> { E.f_key = k; f_meta = m; f_digest = d }) fs
-
   let to_delta es =
     List.map (fun e -> (e.E.e_key, R.stamp e.E.e_item, R.read e.E.e_item)) es
 
@@ -219,9 +219,9 @@ module Make (S : Stamp.S) = struct
       (fun (k, stamp, vs) -> { E.e_key = k; e_item = R.restore ~stamp vs })
       es
 
-  let offer t = to_frontier (E.offer t)
+  let offer = E.offer
 
-  let wants t frontier = E.wants t (of_frontier frontier)
+  let wants = E.wants
 
   let fulfil t wanted = to_delta (E.fulfil t wanted)
 
@@ -232,10 +232,16 @@ module Make (S : Stamp.S) = struct
      register always holds a candidate, so [[]] never names a real
      one. *)
   let reconcile ?tally t frontier items =
-    let t, results, _reports =
-      E.reconcile ?tally engine_config t (of_frontier frontier)
-        (of_delta items)
+    let t, results, reports =
+      E.reconcile engine_config t frontier (of_delta items)
     in
+    Option.iter
+      (fun tally ->
+        List.iter
+          (fun (r : Engine.report) ->
+            Ledger.add tally ~shipped:r.shipped ~minimal:r.minimal)
+          reports)
+      tally;
     let shipped =
       List.fold_left (fun m (k, _, vs) -> Smap.add k vs m) Smap.empty items
     in

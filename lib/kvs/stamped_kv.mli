@@ -9,9 +9,17 @@
 
     Caveats that follow from the model: keys created independently on
     two replicas share no causal context, so their first sync reports a
-    conflict even for equal values; and {!remove} is a local forget with
+    conflict even for equal values; {!remove} is a local forget with
     no tombstone — a peer that still holds the key re-introduces it on
-    the next sync.
+    the next sync; and a value one replica has overwritten can come
+    back as a false conflict.  A register keeps one stamp for all its
+    candidates, and a merge of concurrent registers takes the union of
+    their candidates, so it cannot tell that one side had already
+    overwritten a candidate the other still holds.  No write is lost,
+    but a read can hold a superseded value: after B writes [w1] and C
+    writes [w2], C syncs to A and then with B, and A overwrites [w2]
+    with [w3], a C↔A sync leaves A reading [[w1; w2; w3]] where the
+    causal history says [[w1; w3]].
 
     Generic in the stamp backend via {!Make}; the top level is the
     default (tree) instantiation. *)
@@ -76,9 +84,10 @@ module Make (S : Vstamp_core.Stamp.S) : sig
       accounts to the [tally] it passes to {!reconcile}. *)
 
   type frontier = (string * S.t * string) list
-  (** One entry per key: its stamp and a digest fingerprinting the
-      candidate value set (an MD5 computed by {!offer}, not the store's
-      {!digest}). *)
+  (** One entry per key, in strictly ascending key order: its stamp and
+      a digest fingerprinting the candidate value set (an MD5 computed
+      by {!offer}, not the store's {!digest}).  The engine's own
+      frontier ({!Vstamp_sync.Engine.Make.frontier}), shipped as is. *)
 
   type delta = (string * S.t * string list) list
   (** Entries on the move: key, stamp, candidate values.  {!fulfil}
@@ -94,7 +103,10 @@ module Make (S : Vstamp_core.Stamp.S) : sig
   val wants : t -> frontier -> string list
   (** Leg 2 (responder): the keys whose full entries are needed — ones
       this replica lacks, is dominated on, or holds concurrent/equal
-      with a different candidate set. *)
+      with a different candidate set.
+
+      @raise Invalid_argument if the frontier's keys are not strictly
+      ascending. *)
 
   val fulfil : t -> string list -> delta
   (** Leg 3 (initiator): the requested entries. *)
@@ -107,7 +119,10 @@ module Make (S : Vstamp_core.Stamp.S) : sig
       exactly the ones the initiator shipped for that key (it
       dominated, or held the key alone) is stamp-only: its candidate
       list is empty.  Every other half carries its candidates.  The
-      [tally] is charged as for an in-process {!sync}. *)
+      [tally] is charged as for an in-process {!sync}.
+
+      @raise Invalid_argument if the frontier's keys are not strictly
+      ascending. *)
 
   val apply : t -> delta -> t
   (** Final leg (initiator): adopt the responder's results.  A

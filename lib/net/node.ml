@@ -1,4 +1,5 @@
 open Vstamp_core
+module Engine = Vstamp_sync.Engine
 module Ledger = Vstamp_sync.Ledger
 module R = Vstamp_obs.Registry
 module M = Vstamp_obs.Metric
@@ -202,6 +203,13 @@ module Make (B : Backend.S) = struct
         | Ok None | Ok (Some Proto.Bye) -> Ok ()
         | Error _ as e -> e
         | Ok (Some (Proto.Offer (header, frontier))) ->
+            (* The engine takes only the order [offer] sends, and raises
+               on any other; an exception here would end the thread
+               uncounted. *)
+            let* () =
+              if Engine.ascending frontier then Ok ()
+              else proto_fail t "Offer keys not strictly ascending"
+            in
             let* frontier = decode_entries t frontier in
             let wanted = locked t (fun () -> KV.wants t.store frontier) in
             let* () = send t fd (Proto.Want wanted) in

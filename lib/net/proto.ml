@@ -131,8 +131,38 @@ let put_delta_entry b (key, stamp, values) =
   put_string b stamp;
   put_list b put_string values
 
+(* The encoded size, so [encode] fills one buffer of that length and
+   never regrows it: growth by doubling from a small buffer copies a
+   64 KiB [Items] message through nine ever larger ones. *)
+let varint_size n =
+  let rec go n bytes = if n < 0x80 then bytes else go (n lsr 7) (bytes + 1) in
+  go n 1
+
+let string_size s = varint_size (String.length s) + String.length s
+
+let list_size size xs =
+  List.fold_left (fun n x -> n + size x) (varint_size (List.length xs)) xs
+
+let size = function
+  | Hello h | Hello_ack h ->
+      string_size magic + varint_size h.proto + string_size h.node_id
+      + string_size h.backend
+  | Offer (header, frontier) ->
+      string_size header
+      + list_size
+          (fun (key, stamp, digest) ->
+            string_size key + string_size stamp + string_size digest)
+          frontier
+  | Want keys -> list_size string_size keys
+  | Items entries | Result entries ->
+      list_size
+        (fun (key, stamp, values) ->
+          string_size key + string_size stamp + list_size string_size values)
+        entries
+  | Bye -> 0
+
 let encode msg =
-  let b = Buffer.create 256 in
+  let b = Buffer.create (1 + size msg) in
   Buffer.add_char b (Char.chr (tag msg));
   (match msg with
   | Hello h | Hello_ack h -> put_hello b h

@@ -69,7 +69,14 @@ type outcome = Engine.outcome =
   | Resolved  (* conflict settled by the policy *)
   | Conflict  (* Manual policy: both sides left untouched *)
 
-type report = { path : string; relation : Relation.t option; outcome : outcome }
+type report = Engine.report = {
+  key : string;  (* the file's path *)
+  relation : Relation.t option;
+  outcome : outcome;
+  payload : int;
+  shipped : int;
+  minimal : int;
+}
 
 let outcome_to_string = function
   | Created -> "created"
@@ -80,7 +87,7 @@ let outcome_to_string = function
   | Conflict -> "CONFLICT"
 
 let pp_report ppf r =
-  Format.fprintf ppf "%-20s %-12s %s" r.path
+  Format.fprintf ppf "%-20s %-12s %s" r.key
     (match r.relation with None -> "-" | Some rel -> Relation.to_string rel)
     (outcome_to_string r.outcome)
 
@@ -142,86 +149,6 @@ struct
 
   let meta_bytes c = (F.size_bits c + 7) / 8
 
-  let sync_file policy left right =
-    match F.relation left right with
-    | Relation.Equal
-      when not (String.equal (F.content left) (F.content right)) -> (
-        (* Equivalent stamps with different content can only mean the two
-           copies were created independently (separate seed lineages share
-           no causal context), so this is a genuine conflict even though
-           the stamps cannot see it. *)
-        let resolve content =
-          let l, r = F.resolve left right ~content in
-          (l, r, { path = F.path left; relation = Some Equal; outcome = Resolved })
-        in
-        match policy with
-        | Manual ->
-            ( left,
-              right,
-              { path = F.path left; relation = Some Equal; outcome = Conflict }
-            )
-        | Prefer_left -> resolve (F.content left)
-        | Prefer_right -> resolve (F.content right)
-        | Merge f ->
-            resolve (f ~left:(F.content left) ~right:(F.content right)))
-    | Relation.Equal ->
-        ( left,
-          right,
-          { path = F.path left; relation = Some Equal; outcome = Unchanged } )
-    | Relation.Dominates ->
-        let l, r = F.propagate ~from:left ~into:right in
-        ( l,
-          r,
-          {
-            path = F.path left;
-            relation = Some Dominates;
-            outcome = Propagated_left_to_right;
-          } )
-    | Relation.Dominated ->
-        let r, l = F.propagate ~from:right ~into:left in
-        ( l,
-          r,
-          {
-            path = F.path left;
-            relation = Some Dominated;
-            outcome = Propagated_right_to_left;
-          } )
-    | Relation.Concurrent
-      when String.equal (F.content left) (F.content right) ->
-        (* concurrent histories (possibly unrelated lineages) but identical
-           contents: observationally nothing to reconcile *)
-        ( left,
-          right,
-          {
-            path = F.path left;
-            relation = Some Concurrent;
-            outcome = Unchanged;
-          } )
-    | Relation.Concurrent -> (
-        let resolve content =
-          let l, r = F.resolve left right ~content in
-          ( l,
-            r,
-            {
-              path = F.path left;
-              relation = Some Concurrent;
-              outcome = Resolved;
-            } )
-        in
-        match policy with
-        | Manual ->
-            ( left,
-              right,
-              {
-                path = F.path left;
-                relation = Some Concurrent;
-                outcome = Conflict;
-              } )
-        | Prefer_left -> resolve (F.content left)
-        | Prefer_right -> resolve (F.content right)
-        | Merge f ->
-            resolve (f ~left:(F.content left) ~right:(F.content right)))
-
   (* Wire accounting for one reconciled pair, charged on the
      post-reconciliation copies (what actually crossed, with the stamps
      the session left behind).  The split is the engine's unified
@@ -266,51 +193,69 @@ struct
 
   module E = Engine.Make (ES)
 
-  (* The per-path reconciliation the engine drives: [item_a] is the
+  (* The per-path reconciliation the engine drives: [left] is the
      initiator's copy (a payload-less phantom when this side dominates
-     it — propagation never reads the dominated content), [item_b] this
+     it — propagation never reads the dominated content), [right] this
      side's. *)
-  let engine_config policy =
-    {
-      E.reconcile =
-        (fun ~key:_ item_a item_b ->
-          let l, r, report = sync_file policy item_a item_b in
-          let relation =
-            match report.relation with Some rel -> rel | None -> assert false
+  let sync_file policy ~key:_ left right =
+    let relation = F.relation left right in
+    let l, r, outcome =
+      match relation with
+      | (Relation.Equal | Relation.Concurrent)
+        when String.equal (F.content left) (F.content right) ->
+          (* equivalent copies, or concurrent histories (possibly
+             unrelated lineages) with identical contents: observationally
+             nothing to reconcile *)
+          (left, right, Unchanged)
+      | Relation.Dominates ->
+          let l, r = F.propagate ~from:left ~into:right in
+          (l, r, Propagated_left_to_right)
+      | Relation.Dominated ->
+          let r, l = F.propagate ~from:right ~into:left in
+          (l, r, Propagated_right_to_left)
+      | Relation.Equal | Relation.Concurrent -> (
+          (* Different contents.  Equivalent stamps can then only mean
+             the two copies were created independently (separate seed
+             lineages share no causal context), so this is a genuine
+             conflict even though the stamps cannot see it. *)
+          let resolve content =
+            let l, r = F.resolve left right ~content in
+            (l, r, Resolved)
           in
-          {
-            E.item_a = l;
-            item_b = r;
-            relation;
-            outcome = report.outcome;
-            charge = charge_of report.outcome l r;
-          });
-      replicate = F.replicate;
+          match policy with
+          | Manual -> (left, right, Conflict)
+          | Prefer_left -> resolve (F.content left)
+          | Prefer_right -> resolve (F.content right)
+          | Merge f ->
+              resolve (f ~left:(F.content left) ~right:(F.content right)))
+    in
+    {
+      E.item_a = l;
+      item_b = r;
+      relation;
+      outcome;
+      charge = charge_of outcome l r;
     }
+
+  let engine_config policy =
+    { E.reconcile = sync_file policy; replicate = F.replicate }
 
   let spans =
     { E.span_session = "sync.session"; span_apply = "sync.apply"; unit_key = "files" }
 
   let session ?(policy = Manual) left right =
-    let config = engine_config policy in
-    let ledger = Option.map (fun c -> c.Obs.ledger) !Obs.state in
-    let on_report (er : E.report) =
-      Obs.on (fun c ->
-          Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug er.E.outcome));
-          (match er.E.payload with
-          | 0 -> ()
-          | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
-          if er.E.outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+    let left, right, reports =
+      E.session ~spans (engine_config policy) left right
     in
-    let left, right, ereports =
-      E.session ?ledger ~on_report ~spans config left right
-    in
-    let reports =
-      List.map
-        (fun (er : E.report) ->
-          { path = er.E.key; relation = er.E.relation; outcome = er.E.outcome })
-        ereports
-    in
+    Obs.on (fun c ->
+        Ledger.round c.Obs.ledger;
+        List.iter
+          (fun r ->
+            Ledger.account c.Obs.ledger ~shipped:r.shipped ~minimal:r.minimal;
+            Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug r.outcome));
+            Vstamp_obs.Metric.add c.Obs.bytes r.payload;
+            if r.outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+          reports);
     (left, right, reports)
 
   (* Observational convergence: both stores hold every path with equal

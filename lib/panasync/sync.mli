@@ -43,11 +43,15 @@ type outcome = Vstamp_sync.Engine.outcome =
   | Resolved
   | Conflict
 
-type report = {
-  path : string;
+(** The engine's per-key report, one per logical path. *)
+type report = Vstamp_sync.Engine.report = {
+  key : string;  (** The file's path. *)
   relation : Vstamp_core.Relation.t option;
       (** [None] when the file existed on one side only. *)
   outcome : outcome;
+  payload : int;  (** Content bytes that crossed between the devices. *)
+  shipped : int;
+  minimal : int;
 }
 
 val outcome_to_string : outcome -> string

@@ -281,44 +281,3 @@ let all =
   (stamps :: stamps_nonreducing :: stamps_list
    :: List.filter (fun t -> name t <> "stamps") (of_registry ()))
   @ [ histories; version_vectors; dynamic_vv; plausible 4; plausible 8 ]
-
-(* Wrap a tracker so every operation (and comparison) is timed into a
-   registry histogram — per-mechanism op latency without touching the
-   mechanism itself. *)
-let with_metrics ?(registry = Vstamp_obs.Registry.default) (Packed (module T)) =
-  Packed
-    (module struct
-      type t = T.t
-
-      type state = T.state
-
-      let name = T.name
-
-      let initial = T.initial
-
-      (* recorded even when the call raises *)
-      let span op f =
-        let open Vstamp_obs in
-        let t0 = Clock.now_ns () in
-        Fun.protect
-          ~finally:(fun () ->
-            Metric.observe
-              (Registry.histogram registry
-                 (Printf.sprintf "tracker_op_ns{tracker=%S,op=%S}" T.name op))
-              (Int64.to_float (Int64.sub (Clock.now_ns ()) t0)))
-          f
-
-      let update st x = span "update" (fun () -> T.update st x)
-
-      let fork st x = span "fork" (fun () -> T.fork st x)
-
-      let join st a b = span "join" (fun () -> T.join st a b)
-
-      let leq a b = span "leq" (fun () -> T.leq a b)
-
-      let size_bits = T.size_bits
-
-      let invariants = T.invariants
-
-      let pp = T.pp
-    end)

@@ -114,8 +114,3 @@ val plausible : int -> packed
 
 val all : packed list
 (** Every tracker, for sweep experiments. *)
-
-val with_metrics : ?registry:Vstamp_obs.Registry.t -> packed -> packed
-(** Same tracker, with every [update]/[fork]/[join]/[leq] timed into
-    [tracker_op_ns{tracker=...,op=...}] histograms of the registry
-    (default {!Vstamp_obs.Registry.default}). *)

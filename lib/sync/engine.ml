@@ -28,6 +28,20 @@ let delta outcome { meta_a; meta_b; payload } =
   in
   (shipped, minimal)
 
+type report = {
+  key : string;
+  relation : Relation.t option;
+  outcome : outcome;
+  payload : int;
+  shipped : int;
+  minimal : int;
+}
+
+let rec ascending = function
+  | (a, _, _) :: ((b, _, _) :: _ as rest) ->
+      String.compare a b < 0 && ascending rest
+  | _ -> true
+
 module type STORE = sig
   type t
 
@@ -70,70 +84,50 @@ module Make (S : STORE) = struct
     replicate : S.item -> S.item * S.item;
   }
 
-  type report = {
-    key : string;
-    relation : Relation.t option;
-    outcome : outcome;
-    payload : int;
-    shipped : int;
-    minimal : int;
-  }
-
-  type frontier_entry = { f_key : string; f_meta : S.meta; f_digest : string }
+  type frontier = (string * S.meta * string) list
 
   type entry = { e_key : string; e_item : S.item }
 
   let offer store =
     List.rev
       (S.fold
-         (fun key item acc ->
-           { f_key = key; f_meta = S.meta_of item; f_digest = S.digest item }
-           :: acc)
+         (fun key item acc -> (key, S.meta_of item, S.digest item) :: acc)
          store [])
 
-  let rec ascending = function
-    | a :: (b :: _ as rest) ->
-        String.compare a.f_key b.f_key < 0 && ascending rest
-    | _ -> true
+  let check_ascending fn frontier =
+    if not (ascending frontier) then
+      invalid_arg (fn ^ ": frontier keys not strictly ascending")
 
   (* Leg 2's rule for an offered entry whose key is held here; a key
      not held here is always wanted. *)
-  let wanted f item =
-    match S.relation f.f_meta (S.meta_of item) with
+  let wanted meta digest item =
+    match S.relation meta (S.meta_of item) with
     | Relation.Dominates -> true
     | Relation.Dominated -> false
     | Relation.Equal | Relation.Concurrent ->
-        not (String.equal f.f_digest (S.digest item))
+        not (String.equal digest (S.digest item))
 
+  (* Merge the frontier with the store's entries, both ascending:
+     [rest] is the part of the frontier not yet reached, and a key
+     passed over before the next stored one is not held here. *)
   let wants store frontier =
-    if ascending frontier then
-      (* Merge the frontier with the store's entries, both ascending:
-         [rest] is the part of the frontier not yet reached, and a key
-         passed over before the next stored one is not held here. *)
-      let rest, wanted_rev =
-        S.fold
-          (fun key item (rest, acc) ->
-            let rec drain rest acc =
-              match rest with
-              | [] -> (rest, acc)
-              | f :: fs ->
-                  let c = String.compare f.f_key key in
-                  if c < 0 then drain fs (f.f_key :: acc)
-                  else if c > 0 then (rest, acc)
-                  else (fs, if wanted f item then f.f_key :: acc else acc)
-            in
-            drain rest acc)
-          store (frontier, [])
-      in
-      List.rev_append wanted_rev (List.map (fun f -> f.f_key) rest)
-    else
-      (* peer input: entry by entry, duplicates included *)
-      List.filter_map
-        (fun f ->
-          match S.find store f.f_key with
-          | Some item when not (wanted f item) -> None
-          | _ -> Some f.f_key)
-        frontier
+    check_ascending "Engine.wants" frontier;
+    let rest, wanted_rev =
+      S.fold
+        (fun key item (rest, acc) ->
+          let rec drain rest acc =
+            match rest with
+            | [] -> (rest, acc)
+            | (k, meta, digest) :: fs ->
+                let c = String.compare k key in
+                if c < 0 then drain fs (k :: acc)
+                else if c > 0 then (rest, acc)
+                else (fs, if wanted meta digest item then k :: acc else acc)
+          in
+          drain rest acc)
+        store (frontier, [])
+    in
+    List.rev_append wanted_rev (List.map (fun (k, _, _) -> k) rest)
 
   let fulfil store wanted =
     List.filter_map
@@ -142,39 +136,19 @@ module Make (S : STORE) = struct
           (S.find store key))
       wanted
 
-  let charge_for ledger tally on_report report =
-    (match ledger with
-    | Some c -> Ledger.account c ~shipped:report.shipped ~minimal:report.minimal
-    | None -> ());
-    (match tally with
-    | Some t -> Ledger.add t ~shipped:report.shipped ~minimal:report.minimal
-    | None -> ());
-    match on_report with Some f -> f report | None -> ()
-
-  (* The frontier is peer input, and the walk needs its keys strictly
-     ascending.  Any other frontier is sorted, and of several entries
-     for one key the last wins. *)
-  let normalise frontier =
-    if ascending frontier then frontier
-    else
-      let by_key =
-        List.fold_left (fun m f -> Smap.add f.f_key f m) Smap.empty frontier
-      in
-      List.map snd (Smap.bindings by_key)
-
-  let reconcile ?ledger ?tally ?on_report config store frontier items =
+  let reconcile config store frontier items =
+    check_ascending "Engine.reconcile" frontier;
     let received =
       List.fold_left (fun m e -> Smap.add e.e_key e.e_item m) Smap.empty items
     in
-    (* The one place a key's report is built, charged and emitted.
-       [exchange] is the item kept here and the one sent back, [None]
-       when the exchange is elided. *)
+    (* The one place a key's report is built.  [exchange] is the item
+       kept here and the one sent back, [None] when the exchange is
+       elided. *)
     let settle acc key exchange relation outcome charge =
       let store, results, reports = acc in
       let shipped, minimal = delta outcome charge in
       let payload = charge.payload in
       let report = { key; relation; outcome; payload; shipped; minimal } in
-      charge_for ledger tally on_report report;
       match exchange with
       | None -> (store, results, report :: reports)
       | Some (kept, sent) ->
@@ -195,15 +169,14 @@ module Make (S : STORE) = struct
     (* A key offered alone: fork the delivered item, keep the peer
        branch.  One requested but not delivered is skipped, with no
        charge. *)
-    let offered_only acc f =
-      match Smap.find_opt f.f_key received with
+    let offered_only acc (key, meta, _) =
+      match Smap.find_opt key received with
       | None -> acc
       | Some item ->
           let mine, theirs = config.replicate item in
-          let meta_a = S.meta_bytes f.f_meta in
-          created acc f.f_key (theirs, mine) ~meta_a item
+          created acc key (theirs, mine) ~meta_a:(S.meta_bytes meta) item
     in
-    let both acc key f mine_item =
+    let both acc key meta mine_item =
       let reconcile_with item_a =
         let v = config.reconcile ~key item_a mine_item in
         settle acc key
@@ -213,16 +186,16 @@ module Make (S : STORE) = struct
       match Smap.find_opt key received with
       | Some item_a -> reconcile_with item_a
       | None -> (
-          match S.relation f.f_meta (S.meta_of mine_item) with
+          match S.relation meta (S.meta_of mine_item) with
           | Relation.Dominated ->
               (* we dominate: rebuild the initiator's side from the
                  frontier alone — propagation never reads the dominated
                  payload *)
-              reconcile_with (S.of_meta ~key f.f_meta)
+              reconcile_with (S.of_meta ~key meta)
           | rel ->
               (* observationally equal (matching digest): the exchange
                  is elided, only metadata compared *)
-              let meta_a = S.meta_bytes f.f_meta in
+              let meta_a = S.meta_bytes meta in
               let meta_b = S.meta_bytes (S.meta_of mine_item) in
               let charge = { meta_a; meta_b; payload = 0 } in
               settle acc key None (Some rel) Unchanged charge)
@@ -237,15 +210,15 @@ module Make (S : STORE) = struct
           let rec drain acc rest =
             match rest with
             | [] -> (held_only acc key item, rest)
-            | f :: fs ->
-                let c = String.compare f.f_key key in
+            | ((k, meta, _) as f) :: fs ->
+                let c = String.compare k key in
                 if c < 0 then drain (offered_only acc f) fs
                 else if c > 0 then (held_only acc key item, rest)
-                else (both acc key f item, fs)
+                else (both acc key meta item, fs)
           in
           drain acc rest)
         store
-        ((store, [], []), normalise frontier)
+        ((store, [], []), frontier)
     in
     let store, results_rev, reports_rev = List.fold_left offered_only acc rest in
     (store, List.rev results_rev, List.rev reports_rev)
@@ -259,16 +232,12 @@ module Make (S : STORE) = struct
     unit_key : string;
   }
 
-  let session_body ?ledger ?tally ?on_report config a b =
-    (match ledger with Some c -> Ledger.round c | None -> ());
+  let session_body config a b =
     let frontier = offer a in
     let wanted = wants b frontier in
     let items = fulfil a wanted in
-    let b, results, reports =
-      reconcile ?ledger ?tally ?on_report config b frontier items
-    in
-    let a = apply a results in
-    (a, b, reports)
+    let b, results, reports = reconcile config b frontier items in
+    (apply a results, b, reports)
 
   (* A session is one span; its trace context rides the session
      envelope (the header the on-the-wire protocol carries in its first
@@ -276,7 +245,7 @@ module Make (S : STORE) = struct
      from that header — so the remote half of every sync round
      continues the same trace, across processes once the envelope
      crosses a socket. *)
-  let session ?ledger ?tally ?on_report ?spans config a b =
+  let session ?spans config a b =
     let module Tr = Vstamp_obs.Trace_ctx in
     let module J = Vstamp_obs.Jsonx in
     match spans with
@@ -287,11 +256,10 @@ module Make (S : STORE) = struct
               | Some ctx -> Tr.to_header ctx
               | None -> ""
             in
-            let a, b, reports =
-              session_body ?ledger ?tally ?on_report config a b
-            in
+            let a, b, reports = session_body config a b in
             let conflicts_n =
-              List.length (List.filter (fun r -> r.outcome = Conflict) reports)
+              List.length
+                (List.filter (fun (r : report) -> r.outcome = Conflict) reports)
             in
             Tr.annotate
               [
@@ -303,5 +271,5 @@ module Make (S : STORE) = struct
               sp.span_apply
               (fun () -> ());
             (a, b, reports))
-    | _ -> session_body ?ledger ?tally ?on_report config a b
+    | _ -> session_body config a b
 end

@@ -4,10 +4,10 @@
     store: compare the two sides' stamp frontiers, request the entries
     one side is missing or dominated on, reconcile them under the
     store's own rules, and return the initiator its halves.  {!Make}
-    factors that walk — together with the {!Ledger} byte accounting and
-    the trace spans — out of panasync's file sessions, the stamped KV
-    store and the network layer, which differ only in their item type
-    and reconciliation closures.
+    factors that walk — together with its per-key {!report}s and the
+    trace spans — out of panasync's file sessions, the stamped KV store
+    and the network layer, which differ only in their item type and
+    reconciliation closures.
 
     The session is pure and phrased as four legs so a transport can
     interleave them with frames (the [vstamp-sync/2] protocol in
@@ -61,6 +61,24 @@ val delta : outcome -> charge -> int * int
     everything when concurrency is surfaced, and the whole entry for
     [Created] (creations carry no redundancy). *)
 
+type report = {
+  key : string;
+  relation : Relation.t option;  (** [None] for one-sided entries. *)
+  outcome : outcome;
+  payload : int;  (** Payload bytes that crossed. *)
+  shipped : int;
+  minimal : int;
+}
+(** What reconciling one key did, and its {!delta}: the engine's one
+    accounting output.  {!Make.reconcile} and {!Make.session} return
+    one per key, and each caller folds them into its own counters. *)
+
+val ascending : (string * 'meta * string) list -> bool
+(** Whether a frontier's keys are strictly ascending: the order
+    {!Make.offer} sends, and the only one {!Make.wants} and
+    {!Make.reconcile} accept.  A transport checks a peer's frontier
+    with it before the engine sees it. *)
+
 (** What {!Make} needs from a store: a sorted key space of items, each
     carrying comparable causality metadata ([meta]) and a payload
     fingerprint ([digest]), plus the phantom constructor ([of_meta])
@@ -83,8 +101,7 @@ module type STORE = sig
       one [find] per key. *)
 
   val find : t -> string -> item option
-  (** One entry: used for the keys a peer names ({!Make.fulfil}, and
-      {!Make.wants} on a frontier that is not strictly ascending). *)
+  (** One entry: used for the keys a peer names ({!Make.fulfil}). *)
 
   val set : t -> string -> item -> t
 
@@ -126,64 +143,50 @@ module Make (S : STORE) : sig
             first branch, the peer receives the second. *)
   }
 
-  type report = {
-    key : string;
-    relation : Relation.t option;  (** [None] for one-sided entries. *)
-    outcome : outcome;
-    payload : int;  (** Payload bytes that crossed. *)
-    shipped : int;
-    minimal : int;
-  }
-
   (** {1 The four legs} *)
 
-  type frontier_entry = { f_key : string; f_meta : S.meta; f_digest : string }
+  type frontier = (string * S.meta * string) list
+  (** One entry per key: the key, its metadata and its payload
+      {!STORE.digest}, in strictly ascending key order. *)
 
   type entry = { e_key : string; e_item : S.item }
 
-  val offer : S.t -> frontier_entry list
+  val offer : S.t -> frontier
   (** Leg 1 (initiator): the full frontier, sorted by key — one
       {!STORE.fold} over the store. *)
 
-  val wants : S.t -> frontier_entry list -> string list
+  val wants : S.t -> frontier -> string list
   (** Leg 2 (responder): the keys whose full items the responder needs
       — ones it lacks, is dominated on, or holds concurrent/equal with
       a different payload — in frontier order.  Entries the responder
       dominates, and observationally equal ones, are deliberately not
       requested.
 
-      A strictly ascending frontier (what {!offer} sends) is merged
-      with one {!STORE.fold}, so the leg visits each key once whatever
-      the frontier's length: the responder's {!reconcile} walks the
-      whole store anyway.  Any other frontier is peer input and is
-      answered entry by entry with [find], duplicates included, so the
-      answer is the same list either way. *)
+      The frontier is merged with one {!STORE.fold}, so the leg visits
+      each key once whatever the frontier's length: the responder's
+      {!reconcile} walks the whole store anyway.
+
+      @raise Invalid_argument if the frontier's keys are not strictly
+      ascending (see {!ascending}). *)
 
   val fulfil : S.t -> string list -> entry list
   (** Leg 3 (initiator): the requested items, in request order. *)
 
   val reconcile :
-    ?ledger:Ledger.counters ->
-    ?tally:Ledger.t ->
-    ?on_report:(report -> unit) ->
-    config ->
-    S.t ->
-    frontier_entry list ->
-    entry list ->
-    S.t * entry list * report list
+    config -> S.t -> frontier -> entry list -> S.t * entry list * report list
   (** Leg 4 (responder): walk the sorted union of the offered frontier
       and the local keys, reconciling received items, reconstructing
       phantom dominated entries, replicating one-sided ones, and
       skipping observationally equal ones.  Returns the updated store,
       the initiator's halves (leg 5's payload), and one report per key
-      in sorted order.  Every report is charged to [ledger]/[tally].
+      in sorted order: the round's accounting.
 
       The walk is one merge of the frontier with one {!STORE.fold}, so
       each key of the union is visited once and no key is looked up.
-      The frontier may come in any order: one that is not strictly
-      ascending is sorted first, and of several entries for one key the
-      last wins.  Items for keys the frontier does not offer are
-      ignored. *)
+      Items for keys the frontier does not offer are ignored.
+
+      @raise Invalid_argument if the frontier's keys are not strictly
+      ascending (see {!ascending}). *)
 
   val apply : S.t -> entry list -> S.t
   (** Final leg (initiator): adopt the responder's results. *)
@@ -196,18 +199,11 @@ module Make (S : STORE) : sig
     unit_key : string;  (** The count attribute: ["files"], ["keys"]. *)
   }
 
-  val session :
-    ?ledger:Ledger.counters ->
-    ?tally:Ledger.t ->
-    ?on_report:(report -> unit) ->
-    ?spans:spans ->
-    config ->
-    S.t ->
-    S.t ->
-    S.t * S.t * report list
+  val session : ?spans:spans -> config -> S.t -> S.t -> S.t * S.t * report list
   (** One whole anti-entropy session between two local stores: the four
-      legs composed back to back.  Bumps the ledger's round counter,
-      and — when [spans] is given and tracing is attached — wraps the
-      walk in a session span whose context rides to a child apply span,
-      the same shape a networked session stretches over a socket. *)
+      legs composed back to back, returning both stores and
+      {!reconcile}'s reports.  When [spans] is given and tracing is
+      attached, it wraps the walk in a session span whose context rides
+      to a child apply span, the same shape a networked session
+      stretches over a socket. *)
 end

@@ -3,8 +3,8 @@
 # ephemeral loopback ports (cascade mesh: each node dials the nodes
 # booted before it), seed one disjoint write per node, wait until the
 # HTTP planes report equal store digests on all three, check that each
-# node's /metrics digest is the exact integer of its /peers.json, then
-# kill one node and watch a survivor's /peers.json report the reconnect
+# node's /metrics digest is the exact integer of its /peers.json and
+# that no node counted a protocol error, then kill one node and watch a survivor's /peers.json report the reconnect
 # backoff.  Finally, graceful shutdown.  Wired to the @net-smoke dune
 # alias (see the root dune file); not part of @runtest because it runs
 # three real servers for a few seconds.  It first checks that an
@@ -114,11 +114,21 @@ for http in "$http0" "$http1" "$http2"; do
     echo "net_store_digest $m, /peers.json store_digest $p" >&2; exit 1; }
 done
 
-# the net metric families are live and clean on a converged node
+# a conforming mesh trips no protocol error on any node: every Offer a
+# node sends is strictly ascending, and so is every one it accepts
+for http in "$http0" "$http1" "$http2"; do
+  scrape "$http" /metrics > "$tmpdir/m"
+  grep -q '^net_protocol_errors_total 0$' "$tmpdir/m" || {
+    echo "node on HTTP port $http counted protocol errors:" >&2
+    grep '^net_protocol_errors_total' "$tmpdir/m" >&2
+    exit 1
+  }
+done
+
+# the net metric families are live on a converged node
 scrape "$http1" /metrics > "$tmpdir/m1"
 grep -q '^# TYPE net_rounds_total counter' "$tmpdir/m1"
 grep -q '^net_store_keys 3$' "$tmpdir/m1"
-grep -q '^net_protocol_errors_total 0$' "$tmpdir/m1"
 grep -q '^net_sync_shipped_bytes_total ' "$tmpdir/m1"
 scrape "$http1" /stats.json | grep -q '"net_store_keys":3'
 

@@ -204,6 +204,31 @@ let prop_sound =
       && Kv_node.converged nodes.(0) nodes.(1)
       && Kv_node.converged nodes.(1) nodes.(2))
 
+(* The shortest false conflict in [Stamped_kv]: a value that A has
+   overwritten comes back.  A register keeps one stamp for all its
+   candidates, so the merge of C's {w1, w2} with A's {w3} cannot tell
+   that A's w3 superseded w2.  The causal history says A reads
+   {w1, w3}; no write is lost, and w2 is the one resurrected. *)
+let test_stamped_kv_false_conflict () =
+  let module KV = Stamped_kv in
+  let a = KV.put KV.empty ~key:"k" "w0" in
+  let a, b = KV.sync a KV.empty in
+  let a, c = KV.sync a KV.empty in
+  let b = KV.put b ~key:"k" "w1" in
+  let c = KV.put c ~key:"k" "w2" in
+  let c, a = KV.sync c a in
+  let c, _b = KV.sync c b in
+  let a = KV.put a ~key:"k" "w3" in
+  let _c, a = KV.sync c a in
+  let read = List.sort compare (KV.get a "k") in
+  let causal = [ "w1"; "w3" ] in
+  Alcotest.(check (list string)) "A's read" [ "w1"; "w2"; "w3" ] read;
+  check_bool "no write lost" true
+    (List.for_all (fun w -> List.mem w read) causal);
+  Alcotest.(check (list string))
+    "resurrected" [ "w2" ]
+    (List.filter (fun w -> not (List.mem w causal)) read)
+
 (* --- Obs instrumentation --- *)
 
 let counter_value r name =
@@ -338,6 +363,8 @@ let () =
           Alcotest.test_case "server siblings" `Quick
             test_concurrent_servers_siblings;
           Alcotest.test_case "three-node ring" `Quick test_three_node_ring;
+          Alcotest.test_case "overwritten value comes back" `Quick
+            test_stamped_kv_false_conflict;
           Alcotest.test_case "size" `Quick test_size_bits;
         ] );
       ( "instrumentation",

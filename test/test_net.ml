@@ -239,7 +239,7 @@ let gen_field =
         string_size ~gen:char (int_bound 12);
       ])
 
-let gen_random_msg =
+let gen_msg_of gen_field =
   let open QCheck2.Gen in
   let hello =
     map3
@@ -265,6 +265,8 @@ let gen_random_msg =
         (entries (triple gen_field gen_field (entries gen_field)));
       return Proto.Bye;
     ]
+
+let gen_random_msg = gen_msg_of gen_field
 
 (* Random bytes (some behind a known tag), encodings of random
    messages, and those encodings cut short or with one byte
@@ -292,6 +294,88 @@ let gen_decoder_input =
 let prop_proto_decode_matches_reference =
   QCheck2.Test.make ~name:"message decoder = the reference" ~count:3000
     ~print:String.escaped gen_decoder_input decoders_agree
+
+(* [Proto.encode] before it sized its buffer, kept verbatim as the
+   reference: a 256-byte buffer grown by doubling. *)
+module Encode_ref = struct
+  let put_varint b n =
+    let rec go n =
+      if n < 0x80 then Buffer.add_char b (Char.chr n)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+    in
+    if n < 0 then invalid_arg "Proto.put_varint: negative";
+    go n
+
+  let put_string b s =
+    put_varint b (String.length s);
+    Buffer.add_string b s
+
+  let put_list b put xs =
+    put_varint b (List.length xs);
+    List.iter (put b) xs
+
+  let tag = function
+    | Proto.Hello _ -> 1
+    | Hello_ack _ -> 2
+    | Offer _ -> 3
+    | Want _ -> 4
+    | Items _ -> 5
+    | Result _ -> 6
+    | Bye -> 7
+
+  let put_hello b h =
+    put_string b Proto.magic;
+    put_varint b h.Proto.proto;
+    put_string b h.node_id;
+    put_string b h.backend
+
+  let put_frontier_entry b (key, stamp, digest) =
+    put_string b key;
+    put_string b stamp;
+    put_string b digest
+
+  let put_delta_entry b (key, stamp, values) =
+    put_string b key;
+    put_string b stamp;
+    put_list b put_string values
+
+  let encode msg =
+    let b = Buffer.create 256 in
+    Buffer.add_char b (Char.chr (tag msg));
+    (match msg with
+    | Proto.Hello h | Hello_ack h -> put_hello b h
+    | Offer (header, frontier) ->
+        put_string b header;
+        put_list b put_frontier_entry frontier
+    | Want keys -> put_list b put_string keys
+    | Items entries | Result entries -> put_list b put_delta_entry entries
+    | Bye -> ());
+    Buffer.contents b
+end
+
+(* Random messages whose fields run from empty to 64 KiB, so every
+   length varint takes one to three bytes. *)
+let prop_proto_encode_matches_reference =
+  let gen_field =
+    QCheck2.Gen.(
+      oneof
+        [
+          gen_field;
+          map2 String.make (int_range 128 20_000) printable;
+          map (fun c -> String.make 65_536 c) char;
+        ])
+  in
+  let encoding encode msg =
+    match encode msg with
+    | s -> Ok s
+    | exception Invalid_argument m -> Error m
+  in
+  QCheck2.Test.make ~name:"message encoder = the reference" ~count:300
+    (gen_msg_of gen_field) (fun msg ->
+      encoding Proto.encode msg = encoding Encode_ref.encode msg)
 
 (* --- live nodes on loopback --- *)
 
@@ -693,6 +777,39 @@ let handshake fd =
       | _ -> Alcotest.fail "expected Hello_ack")
   | _ -> Alcotest.fail "no Hello_ack"
 
+(* An Offer whose keys are out of order or repeated is a protocol error:
+   the engine takes only the strictly ascending order an initiator's
+   offer has.  Each such session ends before any Want, and the node
+   goes on serving good peers. *)
+let test_disordered_offer_rejected () =
+  let ra = Registry.create () and rb = Registry.create () in
+  with_node ~registry:ra ~node_id:"a" (fun a ->
+      N.put a ~key:"k" "v";
+      let st = Vstamp_codec.Wire.stamp_to_string Vstamp_core.Stamp.seed in
+      List.iteri
+        (fun i keys ->
+          let fd = connect (N.port a) in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              handshake fd;
+              let frontier = List.map (fun k -> (k, st, "")) keys in
+              let offer = Proto.encode (Proto.Offer ("", frontier)) in
+              (match Frame.write fd offer with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "write: %a" Frame.pp_error e);
+              check_int "connection closed, no Want sent" 0 (drain_read fd));
+          check_int "one protocol error per offer" (i + 1)
+            (counter ra "net_protocol_errors_total"))
+        [ [ "k2"; "k1" ]; [ "k1"; "k1" ] ];
+      with_node ~registry:rb ~node_id:"b"
+        ~peers:(fun () -> [ ("127.0.0.1", N.port a) ])
+        (fun b ->
+          check_int "a good peer's round completes" 1 (N.sync_now b);
+          Alcotest.(check (list string)) "b has a's key" [ "v" ] (N.get b "k"));
+      check_int "still two protocol errors" 2
+        (counter ra "net_protocol_errors_total"))
+
 (* A responder blocked in a read must not hold up [stop], whatever the
    idle timeout: this peer completes the handshake, then idles. *)
 let test_stop_with_idle_session () =
@@ -786,6 +903,7 @@ let () =
           Alcotest.test_case "length overflow" `Quick
             test_proto_length_overflow;
           QCheck_alcotest.to_alcotest prop_proto_decode_matches_reference;
+          QCheck_alcotest.to_alcotest prop_proto_encode_matches_reference;
         ] );
       ( "nodes",
         [
@@ -806,6 +924,8 @@ let () =
             test_garbage_frame_rejected;
           Alcotest.test_case "stamp past the depth cap rejected" `Quick
             test_deep_stamp_rejected;
+          Alcotest.test_case "disordered offer rejected" `Quick
+            test_disordered_offer_rejected;
           Alcotest.test_case "TCP_NODELAY" `Quick test_tcp_nodelay;
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "backoff on dead peer" `Quick

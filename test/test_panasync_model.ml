@@ -192,7 +192,7 @@ let run_program cmds =
                 (List.length verdicts = List.length reports
                 && List.for_all2
                      (fun (vp, v) r ->
-                       String.equal vp r.Sync.path && outcome_matches v r)
+                       String.equal vp r.Sync.key && outcome_matches v r)
                      verdicts reports)
             then fail "verdict mismatch")
     cmds;

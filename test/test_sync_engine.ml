@@ -4,8 +4,8 @@
    between processes) produces stores identical to the in-process
    [Stamped_kv.sync], while never shipping more than a full-state
    exchange of the two replicas.  The ordered walks of [offer], [wants]
-   and [reconcile] are checked against the legs they replaced, on
-   frontiers in any order. *)
+   and [reconcile] are checked against the legs they replaced, on the
+   ascending frontiers an initiator sends; any other order raises. *)
 
 open Vstamp_kvs
 module Ledger = Vstamp_sync.Ledger
@@ -283,34 +283,40 @@ end
 let keys_of (type t) (module S : Engine.STORE with type t = t) store =
   List.rev (S.fold (fun key _ keys -> key :: keys) store [])
 
+(* A frontier entry's fields: the references below read the engine's
+   [(key, meta, digest)] frontier through these. *)
+let f_key (k, _, _) = k
+
+let f_meta (_, m, _) = m
+
+let f_digest (_, _, d) = d
+
 (* The engine's [offer] and [wants] before the ordered walks, kept as
    the reference: a key list plus one [find] per key, and one [find]
    per frontier entry. *)
 module Legs_ref (S : Engine.STORE) = struct
   open Vstamp_core
-  open Engine.Make (S)
 
   let offer store =
     List.filter_map
       (fun key ->
         Option.map
-          (fun item ->
-            { f_key = key; f_meta = S.meta_of item; f_digest = S.digest item })
+          (fun item -> (key, S.meta_of item, S.digest item))
           (S.find store key))
       (keys_of (module S) store)
 
   let wants store frontier =
     List.filter_map
       (fun f ->
-        match S.find store f.f_key with
-        | None -> Some f.f_key
+        match S.find store (f_key f) with
+        | None -> Some (f_key f)
         | Some item -> (
-            match S.relation f.f_meta (S.meta_of item) with
-            | Relation.Dominates -> Some f.f_key
+            match S.relation (f_meta f) (S.meta_of item) with
+            | Relation.Dominates -> Some (f_key f)
             | Relation.Dominated -> None
             | Relation.Equal | Relation.Concurrent ->
-                if String.equal f.f_digest (S.digest item) then None
-                else Some f.f_key))
+                if String.equal (f_digest f) (S.digest item) then None
+                else Some (f_key f)))
       frontier
 end
 
@@ -333,14 +339,14 @@ module Reconcile_ref (S : Engine.STORE) = struct
 
   let reconcile ?ledger ?tally ?on_report config store frontier items =
     let offered =
-      List.fold_left (fun m f -> Smap.add f.f_key f m) Smap.empty frontier
+      List.fold_left (fun m f -> Smap.add (f_key f) f m) Smap.empty frontier
     in
     let received =
       List.fold_left (fun m e -> Smap.add e.e_key e.e_item m) Smap.empty items
     in
     let all_keys =
       List.sort_uniq String.compare
-        (List.map (fun f -> f.f_key) frontier @ keys_of (module S) store)
+        (List.map f_key frontier @ keys_of (module S) store)
     in
     let emit report = charge_for ledger tally on_report report in
     let store, results_rev, reports_rev =
@@ -383,7 +389,7 @@ module Reconcile_ref (S : Engine.STORE) = struct
                   let mine, theirs = config.replicate item in
                   let charge =
                     {
-                      meta_a = S.meta_bytes f.f_meta;
+                      meta_a = S.meta_bytes (f_meta f);
                       meta_b = 0;
                       payload = S.payload_bytes item;
                     }
@@ -425,18 +431,18 @@ module Reconcile_ref (S : Engine.STORE) = struct
               match Smap.find_opt key received with
               | Some item_a -> reconcile_with item_a
               | None -> (
-                  match S.relation f.f_meta (S.meta_of mine_item) with
+                  match S.relation (f_meta f) (S.meta_of mine_item) with
                   | Relation.Dominated ->
                       (* we dominate: rebuild the initiator's side from
                          the frontier alone — propagation never reads
                          the dominated payload *)
-                      reconcile_with (S.of_meta ~key f.f_meta)
+                      reconcile_with (S.of_meta ~key (f_meta f))
                   | rel ->
                       (* observationally equal (matching digest): the
                          exchange is elided, only metadata compared *)
                       let charge =
                         {
-                          meta_a = S.meta_bytes f.f_meta;
+                          meta_a = S.meta_bytes (f_meta f);
                           meta_b = S.meta_bytes (S.meta_of mine_item);
                           payload = 0;
                         }
@@ -503,50 +509,24 @@ let ts_state s =
 let entries es =
   List.map (fun e -> (e.E.e_key, Reg.stamp e.E.e_item, Reg.read e.E.e_item)) es
 
-let shuffle st l =
-  List.map snd
-    (List.stable_sort
-       (fun (x, _) (y, _) -> Int.compare x y)
-       (List.map (fun x -> (Random.State.bits st, x)) l))
-
-(* The frontier a peer might send: as offered (ascending), shuffled,
-   with a second entry for some keys next to the current one (the
-   responder's own entry, or the initiator's from before its writes),
-   or both; with [extra], some offered keys are dropped from the
-   frontier but still sent as items, together with an item for a key
-   nobody holds. *)
-let peer_input st ~shape ~extra a0 a b =
-  let current = E.offer a in
-  let other f =
-    List.find_opt
-      (fun g -> g.E.f_key = f.E.f_key)
-      (if Random.State.bool st then E.offer b else E.offer a0)
-  in
+(* The frontier and items an initiator sends, drawn from one case: [a]'s
+   offer, ascending as [offer] sends it.  With [extra], some offered
+   keys are dropped from the frontier (a partial offer) but still sent
+   as items, together with an item for a key nobody holds. *)
+let drawn ((base, ops_a, ops_b), extra, seed) =
+  let s0 = ts_build Smap.empty base in
+  let a0, b0, _ = E.session config s0 Smap.empty in
+  let a = ts_build a0 ops_a and b = ts_build b0 ops_b in
+  let st = Random.State.make [| seed |] in
   let dropped =
     if extra then
       List.filter_map
-        (fun f -> if Random.State.bool st then Some f.E.f_key else None)
-        current
+        (fun (k, _, _) -> if Random.State.bool st then Some k else None)
+        (E.offer a)
     else []
   in
-  let offered =
-    List.filter (fun f -> not (List.mem f.E.f_key dropped)) current
-  in
-  let duplicated =
-    List.concat_map
-      (fun f ->
-        match other f with
-        | Some g when Random.State.bool st ->
-            if Random.State.bool st then [ g; f ] else [ f; g ]
-        | _ -> [ f ])
-      offered
-  in
   let frontier =
-    match shape with
-    | 0 -> offered
-    | 1 -> shuffle st offered
-    | 2 -> duplicated
-    | _ -> shuffle st duplicated
+    List.filter (fun (k, _, _) -> not (List.mem k dropped)) (E.offer a)
   in
   let items = E.fulfil a (E.wants b frontier) in
   let items =
@@ -556,68 +536,109 @@ let peer_input st ~shape ~extra a0 a b =
       @ [ { E.e_key = "zeta"; e_item = Reg.create "z" } ]
     else items
   in
-  (frontier, items)
+  (st, a0, a, b, frontier, items)
 
-let gen_reconcile_case =
-  QCheck2.Gen.(quad gen_scenario (int_bound 3) bool int)
+let gen_reconcile_case = QCheck2.Gen.(triple gen_scenario bool int)
 
-let print_reconcile_case (scenario, shape, extra, seed) =
-  Printf.sprintf "%s shape %d extra %b seed %d" (print_scenario scenario)
-    shape extra seed
+let print_reconcile_case (scenario, extra, seed) =
+  Printf.sprintf "%s extra %b seed %d" (print_scenario scenario) extra seed
 
+(* The engine's reports, and a tally folded from them, against what the
+   reference charged to its [~tally] and [~on_report]. *)
 let prop_reconcile_matches_reference =
   QCheck2.Test.make ~name:"merge-walk reconcile = the reference" ~count:500
-    ~print:print_reconcile_case gen_reconcile_case
-    (fun ((base, ops_a, ops_b), shape, extra, seed) ->
-      let s0 = ts_build Smap.empty base in
-      let a0, b0, _ = E.session config s0 Smap.empty in
-      let a = ts_build a0 ops_a and b = ts_build b0 ops_b in
-      let st = Random.State.make [| seed |] in
-      let frontier, items = peer_input st ~shape ~extra a0 a b in
-      let run reconcile =
-        let tally = Ledger.create () in
-        let heard = ref [] in
-        let store, results, reports =
-          reconcile ~tally ~on_report:(fun r -> heard := r :: !heard)
-        in
-        ( ts_state store,
-          entries results,
-          reports,
-          List.rev !heard,
-          (tally.Ledger.shipped, tally.Ledger.minimal, tally.Ledger.entries) )
+    ~print:print_reconcile_case gen_reconcile_case (fun case ->
+      let _, _, _, b, frontier, items = drawn case in
+      let store, results, reports = E.reconcile config b frontier items in
+      let tally = Ledger.create () in
+      List.iter
+        (fun (r : Engine.report) ->
+          Ledger.add tally ~shipped:r.shipped ~minimal:r.minimal)
+        reports;
+      let ref_tally = Ledger.create () in
+      let heard = ref [] in
+      let ref_store, ref_results, ref_reports =
+        Ref.reconcile ~tally:ref_tally
+          ~on_report:(fun r -> heard := r :: !heard)
+          config b frontier items
       in
-      run (fun ~tally ~on_report ->
-          E.reconcile ~tally ~on_report config b frontier items)
-      = run (fun ~tally ~on_report ->
-            Ref.reconcile ~tally ~on_report config b frontier items))
-
-(* The stores and the peer frontier of one drawn case, as
-   [prop_reconcile_matches_reference] builds them. *)
-let drawn ((base, ops_a, ops_b), shape, extra, seed) =
-  let s0 = ts_build Smap.empty base in
-  let a0, b0, _ = E.session config s0 Smap.empty in
-  let a = ts_build a0 ops_a and b = ts_build b0 ops_b in
-  let st = Random.State.make [| seed |] in
-  let frontier, _items = peer_input st ~shape ~extra a0 a b in
-  (a0, a, b, frontier)
+      let totals t = (t.Ledger.shipped, t.Ledger.minimal, t.Ledger.entries) in
+      ts_state store = ts_state ref_store
+      && entries results = entries ref_results
+      && reports = ref_reports
+      && reports = List.rev !heard
+      && totals tally = totals ref_tally)
 
 let prop_offer_matches_reference =
   QCheck2.Test.make ~name:"walked offer = reference" ~count:500
     ~print:print_reconcile_case gen_reconcile_case (fun case ->
-      let a0, a, b, _ = drawn case in
+      let _, a0, a, b, _, _ = drawn case in
       List.for_all
         (fun s -> E.offer s = Legs.offer s)
         [ Smap.empty; a0; a; b ])
 
-(* Every shape [peer_input] draws: the ascending ones take the merge
-   walk, the shuffled and duplicated ones the per-entry lookups; keys
-   go missing on either side. *)
+(* Keys go missing on either side, and the frontier may be partial. *)
 let prop_wants_matches_reference =
   QCheck2.Test.make ~name:"merge-walk wants = reference" ~count:500
     ~print:print_reconcile_case gen_reconcile_case (fun case ->
-      let a0, a, b, frontier = drawn case in
+      let _, a0, a, b, frontier, _ = drawn case in
       List.for_all
         (fun s -> E.wants s frontier = Legs.wants s frontier)
+        [ Smap.empty; a0; a; b ])
+
+let shuffle st l =
+  List.map snd
+    (List.stable_sort
+       (fun (x, _) (y, _) -> Int.compare x y)
+       (List.map (fun x -> (Random.State.bits st, x)) l))
+
+(* A frontier no initiator sends: the drawn one shuffled, with one entry
+   repeated next to itself or next to another entry for its key (the
+   responder's, or the initiator's from before its writes), or both. *)
+let disordered st ~shape a0 b frontier =
+  let repeat f =
+    let others = if Random.State.bool st then E.offer b else E.offer a0 in
+    let g =
+      Option.value ~default:f
+        (List.find_opt (fun g -> f_key g = f_key f) others)
+    in
+    if Random.State.bool st then [ f; g ] else [ g; f ]
+  in
+  let repeated =
+    match frontier with
+    | [] -> []
+    | _ ->
+        let i = Random.State.int st (List.length frontier) in
+        List.concat
+          (List.mapi (fun j f -> if i = j then repeat f else [ f ]) frontier)
+  in
+  match shape with
+  | 0 -> shuffle st frontier
+  | 1 -> repeated
+  | _ -> shuffle st repeated
+
+(* [wants] and [reconcile] take only a strictly ascending frontier, and
+   raise [Invalid_argument] on any other, whatever the store. *)
+let prop_disorder_raises =
+  QCheck2.Test.make ~name:"a disordered frontier raises" ~count:500
+    ~print:(fun (case, shape) ->
+      Printf.sprintf "%s shape %d" (print_reconcile_case case) shape)
+    QCheck2.Gen.(pair gen_reconcile_case (int_bound 2))
+    (fun (case, shape) ->
+      let st, a0, a, b, frontier, items = drawn case in
+      let frontier = disordered st ~shape a0 b frontier in
+      let keys = List.map f_key frontier in
+      let ordered = keys = List.sort_uniq String.compare keys in
+      let raises f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun s ->
+          raises (fun () -> E.wants s frontier) = not ordered
+          && raises (fun () -> E.reconcile config s frontier items)
+             = not ordered)
         [ Smap.empty; a0; a; b ])
 
 (* [Stamped_kv]'s frontier digest is the MD5 of a register's sorted
@@ -679,6 +700,7 @@ let () =
             prop_reconcile_matches_reference;
             prop_offer_matches_reference;
             prop_wants_matches_reference;
+            prop_disorder_raises;
             prop_offer_digest;
           ] );
     ]
