@@ -1676,7 +1676,7 @@ let e18 ~cfg () =
    columns, the E13 sampling_sweep, and {"timed_out": true} markers for
    latency cases over the per-case budget (no longer written: the list
    lanes, the only ones over it, left E3).  /4 keeps every /3 field and
-   adds the registered backend set to the config block plus the
+   adds the keyed backend set to the config block plus the
    packed-backend ablation lanes.  /5 keeps every /4 field and adds the
    E14 convergence block (divergence / time-to-convergence /
    sync-delta efficiency vs partition severity).  /6 keeps every /5

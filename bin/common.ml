@@ -80,7 +80,7 @@ let parse_hostport ~flag spec =
       | _ -> die "%s %s: expected HOST:PORT" flag spec)
   | None -> die "%s %s: expected HOST:PORT" flag spec
 
-(* One stamp tracker per registered name backend; the list
+(* One stamp tracker per keyed name backend; the list
    specification and the baselines are spelled out. *)
 let tracker_names () =
   List.map Tracker.name (Tracker.of_registry ())
@@ -127,8 +127,8 @@ let find_backend key =
               (String.concat ", " (Backend.keys ()))))
 
 (* --backend KEY is shorthand for the stamp tracker over that name
-   backend, and overrides --tracker; the valid set is whatever the
-   registry holds. *)
+   backend, and overrides --tracker; the valid set is the backend
+   table's keys. *)
 let tracker_for ~backend tracker =
   match backend with
   | None -> Ok tracker

@@ -38,84 +38,62 @@ let parse_member s pos =
     if stop = pos then err pos "expected a binary string, 'e' or epsilon"
     else Ok (Bits.of_string (String.sub s pos (stop - pos)), stop)
 
-module type CODEC = sig
-  type name
-
-  type stamp
-
-  val name_of_string : string -> (name, error) result
-
-  val name_to_string : name -> string
-
-  val stamp_of_string : string -> (stamp, error) result
-
-  val stamp_to_string : stamp -> string
-end
-
-module Make (B : Backend.S) = struct
-  type name = B.Name.t
-
-  type stamp = B.Stamp.t
-
-  let parse_name s pos =
-    let pos = skip_spaces s pos in
-    if looking_at s pos empty_utf8 then Ok (B.Name.empty, pos + 2)
-    else if looking_at s pos "0/" then Ok (B.Name.empty, pos + 2)
-    else
-      let rec members pos acc =
-        match parse_member s pos with
-        | Error e -> Error e
-        | Ok (m, pos) ->
-            let pos' = skip_spaces s pos in
-            if looking_at s pos' "+" then
-              members (skip_spaces s (pos' + 1)) (m :: acc)
-            else Ok (List.rev (m :: acc), pos)
-      in
-      match members pos [] with
+let parse_name s pos =
+  let pos = skip_spaces s pos in
+  if looking_at s pos empty_utf8 then Ok (Name_tree.empty, pos + 2)
+  else if looking_at s pos "0/" then Ok (Name_tree.empty, pos + 2)
+  else
+    let rec members pos acc =
+      match parse_member s pos with
       | Error e -> Error e
-      | Ok (ms, pos) ->
-          let name = B.Name.of_list ms in
-          if B.Name.cardinal name <> List.length ms then
-            err pos "not an antichain: a member is a prefix of another"
-          else Ok (name, pos)
-
-  let name_of_string s =
-    match parse_name s 0 with
+      | Ok (m, pos) ->
+          let pos' = skip_spaces s pos in
+          if looking_at s pos' "+" then
+            members (skip_spaces s (pos' + 1)) (m :: acc)
+          else Ok (List.rev (m :: acc), pos)
+    in
+    match members pos [] with
     | Error e -> Error e
-    | Ok (n, pos) ->
-        let pos = skip_spaces s pos in
-        if pos = String.length s then Ok n else err pos "trailing input"
+    | Ok (ms, pos) ->
+        let name = Name_tree.of_list ms in
+        if Name_tree.cardinal name <> List.length ms then
+          err pos "not an antichain: a member is a prefix of another"
+        else Ok (name, pos)
 
-  let parse_stamp s pos =
-    let pos = skip_spaces s pos in
-    if not (looking_at s pos "[") then err pos "expected '['"
-    else
-      match parse_name s (pos + 1) with
-      | Error e -> Error e
-      | Ok (u, pos) ->
-          let pos = skip_spaces s pos in
-          if not (looking_at s pos "|") then err pos "expected '|'"
-          else (
-            match parse_name s (pos + 1) with
-            | Error e -> Error e
-            | Ok (i, pos) ->
-                let pos = skip_spaces s pos in
-                if not (looking_at s pos "]") then err pos "expected ']'"
-                else
-                  let stamp = B.Stamp.make_unchecked ~update:u ~id:i in
-                  if B.Stamp.well_formed stamp then Ok (stamp, pos + 1)
-                  else err pos "update component not dominated by id (I1)")
+let name_of_string s =
+  match parse_name s 0 with
+  | Error e -> Error e
+  | Ok (n, pos) ->
+      let pos = skip_spaces s pos in
+      if pos = String.length s then Ok n else err pos "trailing input"
 
-  let stamp_of_string s =
-    match parse_stamp s 0 with
+let parse_stamp s pos =
+  let pos = skip_spaces s pos in
+  if not (looking_at s pos "[") then err pos "expected '['"
+  else
+    match parse_name s (pos + 1) with
     | Error e -> Error e
-    | Ok (stamp, pos) ->
+    | Ok (u, pos) ->
         let pos = skip_spaces s pos in
-        if pos = String.length s then Ok stamp else err pos "trailing input"
+        if not (looking_at s pos "|") then err pos "expected '|'"
+        else (
+          match parse_name s (pos + 1) with
+          | Error e -> Error e
+          | Ok (i, pos) ->
+              let pos = skip_spaces s pos in
+              if not (looking_at s pos "]") then err pos "expected ']'"
+              else
+                let stamp = Stamp.make_unchecked ~update:u ~id:i in
+                if Stamp.well_formed stamp then Ok (stamp, pos + 1)
+                else err pos "update component not dominated by id (I1)")
 
-  let stamp_to_string = B.Stamp.to_string
+let stamp_of_string s =
+  match parse_stamp s 0 with
+  | Error e -> Error e
+  | Ok (stamp, pos) ->
+      let pos = skip_spaces s pos in
+      if pos = String.length s then Ok stamp else err pos "trailing input"
 
-  let name_to_string = B.Name.to_string
-end
+let stamp_to_string = Stamp.to_string
 
-include Make (Backend.Over_tree)
+let name_to_string = Name_tree.to_string

@@ -1,12 +1,11 @@
-(* First-class registry of name backends.
+(* The keyed name backends.
 
    Every layer that used to pin a concrete name module (codec, sim
    trackers, CLI) goes through this seam instead: a backend bundles a
    name implementation with the stamp structure built over it, keyed by
-   a stable string.  The tree and packed implementations register
-   themselves at module initialization; third parties add theirs with
-   [register] (typically via [Of_name]).  The list specification is
-   built the same way but left out of the registry. *)
+   a stable string.  The table holds the tree and packed
+   implementations; the list specification is built the same way but
+   left out of it. *)
 
 module type S = sig
   module Name : Name_intf.S
@@ -18,41 +17,10 @@ module type S = sig
   val of_trie : Name_tree.t -> Name.t
 end
 
-type entry = { key : string; doc : string; impl : (module S) }
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 8
-
-let register ~key ?(doc = "") impl =
-  if Hashtbl.mem registry key then
-    invalid_arg (Printf.sprintf "Backend.register: key %S already taken" key);
-  Hashtbl.replace registry key { key; doc; impl }
-
-let find key =
-  match Hashtbl.find_opt registry key with
-  | Some e -> Some e.impl
-  | None -> None
-
-let find_entry key = Hashtbl.find_opt registry key
-
-let keys () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) registry []
-  |> List.sort String.compare
-
-let entries () =
-  List.filter_map (fun k -> Hashtbl.find_opt registry k) (keys ())
-
-(* The trie view of a backend that keeps no trie: a round trip through
-   the member list. *)
-module Members_view (N : Name_intf.S) = struct
-  let to_trie n = Name_tree.of_list (N.to_list n)
-
-  let of_trie t = N.of_list (Name_tree.to_list t)
-end
-
-(* --- the in-tree backends --- *)
+type entry = { key : string; impl : (module S) }
 
 (* These reuse the existing [Stamp.Over_*] modules rather than applying
-   [Stamp.Make] afresh, so the registry's stamp types are equal to the
+   [Stamp.Make] afresh, so the table's stamp types are equal to the
    ones the rest of the tree already names. *)
 
 module Over_tree = struct
@@ -64,10 +32,15 @@ module Over_tree = struct
   let of_trie n = n
 end
 
+(* The list specification keeps no trie: its view is a round trip
+   through the member list. *)
 module Over_list = struct
   module Name = Name
   module Stamp = Stamp.Over_list
-  include Members_view (Name)
+
+  let to_trie n = Name_tree.of_list (Name.to_list n)
+
+  let of_trie t = Name.of_list (Name_tree.to_list t)
 end
 
 module Over_packed = struct
@@ -81,13 +54,20 @@ end
 
 let default_key = "tree"
 
-let () =
-  register ~key:"tree" ~doc:"binary tries (default)" (module Over_tree);
-  register ~key:"packed"
-    ~doc:"hash-consed tries with memoized leq/join/reduce"
-    (module Over_packed)
+(* In key order. *)
+let table =
+  [
+    { key = "packed"; impl = (module Over_packed : S) };
+    { key = "tree"; impl = (module Over_tree : S) };
+  ]
 
-let default = (module Over_tree : S)
+let entries () = table
+
+let keys () = List.map (fun e -> e.key) table
+
+let find key =
+  List.find_map (fun e -> if String.equal e.key key then Some e.impl else None)
+    table
 
 let get key =
   match find key with
@@ -96,9 +76,3 @@ let get key =
       invalid_arg
         (Printf.sprintf "Backend.get: unknown backend %S (valid: %s)" key
            (String.concat ", " (keys ())))
-
-module Of_name (N : Name_intf.S) = struct
-  module Name = N
-  module Stamp = Stamp.Make (N)
-  include Members_view (N)
-end

@@ -52,7 +52,7 @@ module Make (S : Stamp.S) = struct
   let pairwise_agree stamps histories =
     pairwise_counterexample stamps histories = None
 
-  let set_counterexample ?max_subset_size stamps histories =
+  let set_counterexample stamps histories =
     let s = Array.of_list stamps and h = Array.of_list histories in
     assert (Array.length s = Array.length h);
     let n = Array.length s in
@@ -72,10 +72,10 @@ module Make (S : Stamp.S) = struct
                raise Exit
              end
            done)
-         (subsets ?max_subset_size n)
+         (subsets n)
      with Exit -> ());
     !found
 
-  let set_agree ?max_subset_size stamps histories =
-    set_counterexample ?max_subset_size stamps histories = None
+  let set_agree stamps histories =
+    set_counterexample stamps histories = None
 end

@@ -33,12 +33,8 @@ module Make (S : Stamp.S) : sig
   val pairwise_agree : S.t list -> Causal_history.t list -> bool
 
   val set_counterexample :
-    ?max_subset_size:int ->
-    S.t list ->
-    Causal_history.t list ->
-    counterexample option
+    S.t list -> Causal_history.t list -> counterexample option
   (** Proposition 5.1: first set-quantified disagreement, if any. *)
 
-  val set_agree :
-    ?max_subset_size:int -> S.t list -> Causal_history.t list -> bool
+  val set_agree : S.t list -> Causal_history.t list -> bool
 end

@@ -58,7 +58,27 @@ module type SUBJECT = sig
   val join : state -> t -> t -> state * t
 end
 
+module type RUN = sig
+  type state
+
+  type frontier
+
+  val init : state * frontier
+
+  val apply : state -> frontier -> op -> state * frontier
+
+  val run_state : op list -> state * frontier
+
+  val run : op list -> frontier
+
+  val run_steps : op list -> frontier list
+
+  val fold : ('a -> frontier -> op -> frontier -> 'a) -> 'a -> op list -> 'a
+end
+
 module Run (S : SUBJECT) = struct
+  type state = S.state
+
   type frontier = S.t list
 
   let init =

@@ -17,8 +17,6 @@ type op =
   | Fork of int  (** Autonomous creation of a sibling replica. *)
   | Join of int * int  (** Merge two replicas into one. *)
 
-val pp_op : Format.formatter -> op -> unit
-
 val op_to_string : op -> string
 
 val size_delta : op -> int
@@ -64,16 +62,18 @@ module type SUBJECT = sig
   val join : state -> t -> t -> state * t
 end
 
-(** Trace interpreter over a subject. *)
-module Run (S : SUBJECT) : sig
-  type frontier = S.t list
+(** A trace interpreter. *)
+module type RUN = sig
+  type state
 
-  val init : S.state * frontier
+  type frontier
 
-  val apply : S.state -> frontier -> op -> S.state * frontier
+  val init : state * frontier
+
+  val apply : state -> frontier -> op -> state * frontier
   (** @raise Invalid_op on an out-of-range or self-join op. *)
 
-  val run_state : op list -> S.state * frontier
+  val run_state : op list -> state * frontier
 
   val run : op list -> frontier
   (** Final frontier of a trace played from the initial configuration. *)
@@ -85,6 +85,10 @@ module Run (S : SUBJECT) : sig
   (** Visit every transition [before, op, after]. *)
 end
 
+(** Trace interpreter over a subject. *)
+module Run (S : SUBJECT) :
+  RUN with type state = S.state and type frontier = S.t list
+
 module Stamp_subject (S : Stamp.S) : sig
   val make :
     reduce:bool ->
@@ -93,29 +97,25 @@ module Stamp_subject (S : Stamp.S) : sig
       reduction at joins. *)
 end
 
-module Stamps_reduced :
-  SUBJECT with type t = Stamp.t and type state = unit
-(** Default stamps, reduction on (the realistic configuration). *)
-
-module Stamps_nonreducing :
-  SUBJECT with type t = Stamp.t and type state = unit
-(** The Section 4 non-reducing model. *)
-
-module Stamps_list :
-  SUBJECT with type t = Stamp.Over_list.t and type state = unit
-(** Stamps over the list-based reference names. *)
-
 module Histories :
   SUBJECT with type t = Causal_history.t and type state = Causal_history.Gen.t
 (** The Section 2 oracle. *)
 
-module Run_stamps : module type of Run (Stamps_reduced)
+module Run_stamps : RUN with type state = unit and type frontier = Stamp.t list
+(** Default stamps, reduction on (the realistic configuration). *)
 
-module Run_stamps_nonreducing : module type of Run (Stamps_nonreducing)
+module Run_stamps_nonreducing :
+  RUN with type state = unit and type frontier = Stamp.t list
+(** The Section 4 non-reducing model. *)
 
-module Run_stamps_list : module type of Run (Stamps_list)
+module Run_stamps_list :
+  RUN with type state = unit and type frontier = Stamp.Over_list.t list
+(** Stamps over the list-based reference names. *)
 
-module Run_histories : module type of Run (Histories)
+module Run_histories :
+  RUN
+    with type state = Causal_history.Gen.t
+     and type frontier = Causal_history.t list
 
 val run_lockstep : op list -> (Stamp.t * Causal_history.t) list
 (** Play a trace over default stamps and the oracle; the resulting

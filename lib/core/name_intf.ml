@@ -9,9 +9,10 @@
     down-sets of strings ordered by inclusion; the antichain holds the
     maximal elements of the down-set it denotes).
 
-    Two implementations satisfy this signature: {!Name} (sorted lists, the
-    executable specification) and {!Name_tree} (binary tries, compact and
-    fast).  {!Stamp.Make} is a functor over it. *)
+    Three implementations satisfy this signature: {!Name} (sorted lists,
+    the executable specification), {!Name_tree} (binary tries, compact
+    and fast) and {!Name_packed} (hash-consed tries with memoized
+    operations).  {!Stamp.Make} is a functor over it. *)
 
 module type S = sig
   type t

@@ -19,7 +19,7 @@ module type S = sig
 
   val join : ?reduce:bool -> t -> t -> t
 
-  val sync : ?reduce:bool -> t -> t -> t * t
+  val sync : t -> t -> t * t
 
   val fork_many : t -> int -> t list
 
@@ -153,7 +153,7 @@ module Make (N : Name_intf.S) = struct
     end;
     result
 
-  let sync ?reduce a b = fork (join ?reduce a b)
+  let sync a b = fork (join a b)
 
   let fork_many t n =
     if n < 1 then invalid_arg "Stamp.fork_many: need at least one replica";

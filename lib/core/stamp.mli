@@ -75,7 +75,7 @@ module type S = sig
       non-reducing model of Section 4 (used by the correctness proofs and
       the differential tests). *)
 
-  val sync : ?reduce:bool -> t -> t -> t * t
+  val sync : t -> t -> t * t
   (** [sync a b = fork (join a b)]: the synchronization idiom — both
       replicas stay alive and leave with identical update components. *)
 

@@ -36,7 +36,7 @@ module Make (S : Stamp.S) = struct
   (* Merge two register replicas.  If one side dominates, its candidates
      win outright; concurrent sides union their candidates (the multiple
      values a reader must reconcile). *)
-  let merge ?(equal = ( = )) a b =
+  let merge a b =
     let stamp = S.join a.stamp b.stamp in
     let values =
       match S.relation a.stamp b.stamp with
@@ -44,13 +44,14 @@ module Make (S : Stamp.S) = struct
       | Relation.Dominated -> b.values
       | Relation.Concurrent ->
           List.fold_left
-            (fun acc v -> if List.exists (equal v) acc then acc else acc @ [ v ])
+            (fun acc v ->
+              if List.exists (( = ) v) acc then acc else acc @ [ v ])
             a.values b.values
     in
     { stamp; values }
 
-  let sync ?equal a b =
-    let merged = merge ?equal a b in
+  let sync a b =
+    let merged = merge a b in
     let sa, sb = S.fork merged.stamp in
     ({ merged with stamp = sa }, { merged with stamp = sb })
 

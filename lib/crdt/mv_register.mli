@@ -38,11 +38,11 @@ module Make (S : Vstamp_core.Stamp.S) : sig
   val fork : 'a t -> 'a t * 'a t
   (** Replicate the register — fully local. *)
 
-  val merge : ?equal:('a -> 'a -> bool) -> 'a t -> 'a t -> 'a t
-  (** One-way merge into a single surviving replica.  [equal] (default
-      structural) deduplicates candidates of concurrent writes. *)
+  val merge : 'a t -> 'a t -> 'a t
+  (** One-way merge into a single surviving replica.  Structural
+      equality deduplicates candidates of concurrent writes. *)
 
-  val sync : ?equal:('a -> 'a -> bool) -> 'a t -> 'a t -> 'a t * 'a t
+  val sync : 'a t -> 'a t -> 'a t * 'a t
   (** Two-way synchronization: both replicas stay alive with the merged
       candidates and fresh coexisting identities. *)
 

@@ -87,5 +87,3 @@ val to_json : t -> Jsonx.t
 (** The [/alerts.json] payload: per-rule state (with the last observed
     value and how long the rule has been in its state) and the
     transition timeline. *)
-
-val state_to_string : state -> string

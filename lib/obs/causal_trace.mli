@@ -13,8 +13,7 @@
 
     The structure is append-only: nodes can be added, never removed or
     edited, and a parent must already exist when its child is added.
-    [of_events (to_events t)] and [of_jsonl (to_jsonl t)] recover [t]
-    exactly. *)
+    [of_jsonl (to_jsonl t)] recovers [t] exactly. *)
 
 type kind =
   | Seed  (** An initial replica; no parents. *)
@@ -79,14 +78,12 @@ val find_by_label : t -> string -> int option
 
 (** {1 JSONL form (canonical, round-trips)} *)
 
-val to_events : t -> Event.t list
-(** One [trace.node] event per node (step-stamped, deterministic),
-    preceded by a [trace.meta] header carrying the node count. *)
-
 val of_events : Event.t list -> (t, string) result
-(** Strict inverse of {!to_events}; also accepts a stream without the
-    [trace.meta] header.  Node ids must be consecutive from 0 and every
-    structural rule of {!add} is re-validated. *)
+(** Strict inverse of the event stream {!to_jsonl} writes: one
+    [trace.node] event per node (step-stamped, deterministic), preceded
+    by a [trace.meta] header carrying the node count.  Also accepts a
+    stream without the header.  Node ids must be consecutive from 0 and
+    every structural rule of {!add} is re-validated. *)
 
 val to_jsonl : t -> string
 (** One event per line, trailing newline included. *)

@@ -51,7 +51,12 @@ let header_line color health =
 
 let section color title = Printf.sprintf "%s" (cyan color ("── " ^ title))
 
-let rates_rows ~max_rows deltas =
+(* Rows per table, and the width of a cluster panel line. *)
+let max_rows = 12
+
+let cluster_width = 100
+
+let rates_rows deltas =
   let monotone =
     List.filter
       (fun d -> d.Registry.kind <> Registry.Kgauge)
@@ -64,7 +69,7 @@ let rates_rows ~max_rows deltas =
   in
   List.filteri (fun i _ -> i < max_rows) sorted
 
-let gauge_rows ~max_rows deltas =
+let gauge_rows deltas =
   let gauges =
     List.filter (fun d -> d.Registry.kind = Registry.Kgauge) deltas
   in
@@ -84,7 +89,7 @@ let divergence_name name =
     ]
   || String.ends_with ~suffix:"_delta_efficiency" name
 
-let divergence_rows ~max_rows snapshot =
+let divergence_rows snapshot =
   let fields = match snapshot with Jsonx.Obj kvs -> kvs | _ -> [] in
   List.filter_map
     (fun (name, v) ->
@@ -100,7 +105,7 @@ let idspace_name name =
   String.starts_with ~prefix:"vstamp_idspace_" name
   || String.starts_with ~prefix:"sim_churn_" name
 
-let idspace_rows ~max_rows snapshot =
+let idspace_rows snapshot =
   let fields = match snapshot with Jsonx.Obj kvs -> kvs | _ -> [] in
   List.filter_map
     (fun (name, v) ->
@@ -110,7 +115,7 @@ let idspace_rows ~max_rows snapshot =
     fields
   |> List.filteri (fun i _ -> i < max_rows)
 
-let histogram_rows ~max_rows snapshot =
+let histogram_rows snapshot =
   let fields = match snapshot with Jsonx.Obj kvs -> kvs | _ -> [] in
   List.filter_map
     (fun (name, v) ->
@@ -159,7 +164,7 @@ let sparkline ?width values =
 
 (* One row per /range.json series: name, sparkline over the bucket
    averages, and the most recent value. *)
-let spark_rows ~max_rows sparks =
+let spark_rows sparks =
   List.filter_map
     (fun (name, values) ->
       match List.filter Float.is_finite values with
@@ -183,7 +188,7 @@ let alert_rows alerts =
         rules
   | _ -> []
 
-let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
+let render ?(color = true) ?(width = 100) ?(events = [])
     ?health ?alerts ?(sparks = []) ~deltas ~snapshot () =
   let buf = Buffer.create 2048 in
   let line s = Buffer.add_string buf (truncate_line width s ^ "\n") in
@@ -217,7 +222,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
       24 deltas
     |> min (width - 26)
   in
-  (match rates_rows ~max_rows deltas with
+  (match rates_rows deltas with
   | [] -> ()
   | rows ->
       raw_line (section color "rates (counters, per second)");
@@ -234,7 +239,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
                (human d.Registry.value)
                rate_str mark))
         rows);
-  (match gauge_rows ~max_rows deltas with
+  (match gauge_rows deltas with
   | [] -> ()
   | rows ->
       raw_line (section color "gauges");
@@ -253,7 +258,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
                (human d.Registry.value)
                ch))
         rows);
-  (match divergence_rows ~max_rows snapshot with
+  (match divergence_rows snapshot with
   | [] -> ()
   | rows ->
       raw_line (section color "divergence (replica lag, pairs, convergence)");
@@ -263,7 +268,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
             (Printf.sprintf "  %-*s %10s" name_w (truncate_line name_w name)
                (human v)))
         rows);
-  (match idspace_rows ~max_rows snapshot with
+  (match idspace_rows snapshot with
   | [] -> ()
   | rows ->
       raw_line (section color "identity space (fragments, bits, churn)");
@@ -273,7 +278,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
             (Printf.sprintf "  %-*s %10s" name_w (truncate_line name_w name)
                (human v)))
         rows);
-  (match spark_rows ~max_rows sparks with
+  (match spark_rows sparks with
   | [] -> ()
   | rows ->
       raw_line (section color "history (flight recorder)");
@@ -289,7 +294,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
                (sparkline ~width:spark_w values)
                (human last)))
         rows);
-  (match histogram_rows ~max_rows snapshot with
+  (match histogram_rows snapshot with
   | [] -> ()
   | rows ->
       raw_line (section color "histograms (n / mean / p95 / max)");
@@ -315,7 +320,7 @@ let render ?(color = true) ?(max_rows = 12) ?(width = 100) ?(events = [])
 
 (* One row of the cluster panel, from a /cluster.json "nodes" entry.
    A down node shows its scrape error instead of health numbers. *)
-let cluster_node_row color width node =
+let cluster_node_row color node =
   let str k = Option.bind (Jsonx.member k node) Jsonx.to_str in
   let id = Option.value ~default:"?" (str "id") in
   let port =
@@ -332,7 +337,7 @@ let cluster_node_row color width node =
     let err = Option.value ~default:"unreachable" (str "error") in
     Printf.sprintf "  %s %-12s %-6s %s" (red color "●")
       (truncate_line 12 id) port
-      (red color (truncate_line (max 0 (width - 30)) err))
+      (red color (truncate_line (cluster_width - 30) err))
   else
     let health = Jsonx.member "health" node in
     let hfield k = Option.bind health (fun h -> Jsonx.member k h) in
@@ -358,7 +363,7 @@ let cluster_node_row color width node =
       (hnum "iterations") (hnum "events_total") (hnum "requests_total")
       firing
 
-let render_cluster ?(color = true) ?(width = 100) cluster =
+let render_cluster ?(color = true) cluster =
   let buf = Buffer.create 1024 in
   let raw_line s = Buffer.add_string buf (s ^ "\n") in
   let num k =
@@ -385,6 +390,6 @@ let render_cluster ?(color = true) ?(width = 100) cluster =
           "node" "port" "status" "up(s)" "iters" "events" "reqs" "alerts"));
   (match Jsonx.member "nodes" cluster with
   | Some (Jsonx.List nodes) ->
-      List.iter (fun n -> raw_line (cluster_node_row color width n)) nodes
+      List.iter (fun n -> raw_line (cluster_node_row color n)) nodes
   | _ -> raw_line (dim color "  (no nodes)"));
   Buffer.contents buf

@@ -19,7 +19,6 @@ val sparkline : ?width:int -> float list -> string
 
 val render :
   ?color:bool ->
-  ?max_rows:int ->
   ?width:int ->
   ?events:string list ->
   ?health:Jsonx.t ->
@@ -42,10 +41,10 @@ val render :
     row per named series, fed from [/range.json] bucket averages),
     histogram summaries from [snapshot], and the tail of [events]
     (newest last).  [color] (default [true]) toggles the ANSI styling;
-    [max_rows] (default 12) caps each table; [width] (default 100)
-    truncates long lines. *)
+    each table shows at most 12 rows; [width] (default 100) truncates
+    long lines. *)
 
-val render_cluster : ?color:bool -> ?width:int -> Jsonx.t -> string
+val render_cluster : ?color:bool -> Jsonx.t -> string
 (** One frame of the multi-node panel, from a [/cluster.json] roll-up
     ({!Cluster.collect}): a summary header (nodes up / total, firing
     alerts, the cluster trace id when present) and one row per node —

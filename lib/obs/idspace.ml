@@ -360,7 +360,9 @@ let fork ?labels t parent ~left ~right =
   if added > 0 then t.forked_bits <- t.forked_bits + added;
   (l.id, r.id)
 
-let join ?label ?(via = Join) t a b frag =
+(* Consume two live nodes into one child recorded [via] a join or a
+   retirement. *)
+let merge ?label ~via t a b frag =
   if a = b then invalid_arg "Idspace.join: parents must be distinct";
   let na = live_node t a in
   let nb = live_node t b in
@@ -375,8 +377,10 @@ let join ?label ?(via = Join) t a b frag =
   if reclaimed > 0 then t.reclaimed <- t.reclaimed + reclaimed;
   n.id
 
+let join ?label t a b frag = merge ?label ~via:Join t a b frag
+
 let retire ?label t ~survivor retiree frag =
-  join ?label ~via:Retire t survivor retiree frag
+  merge ?label ~via:Retire t survivor retiree frag
 
 let refresh t id frag =
   let n = live_node t id in

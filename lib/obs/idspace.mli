@@ -82,8 +82,6 @@ val oracle_entropy : int -> float
 
 val stats_of_fragments : (string * fragment) list -> stats
 
-val stats_json : stats -> Jsonx.t
-
 (** {1 Genealogy inventory}
 
     A mutable inventory tracking the live population and its lineage.
@@ -128,16 +126,16 @@ val fork :
     in {!fork_bits}.  @raise Invalid_argument if the parent is not
     live. *)
 
-val join : ?label:string -> ?via:via -> t -> node_id -> node_id -> fragment -> node_id
-(** Consume two live nodes, yield one live child holding [fragment].
-    [via] defaults to [Join]; pass [Retire] when the second parent is
-    being retired into the first.  Digits reclaimed
+val join : ?label:string -> t -> node_id -> node_id -> fragment -> node_id
+(** Consume two live nodes, yield one live [Join] child holding
+    [fragment]; {!retire} records a retirement instead.  Digits reclaimed
     ([bits a + bits b - bits child], when positive) accumulate in
     {!reclaimed_bits}.  @raise Invalid_argument unless both parents
     are live and distinct. *)
 
 val retire : ?label:string -> t -> survivor:node_id -> node_id -> fragment -> node_id
-(** [join ~via:Retire] with the argument order made explicit. *)
+(** {!join} recorded as [Retire]: [retiree] is retired into
+    [survivor]. *)
 
 val refresh : t -> node_id -> fragment -> unit
 (** Replace a live node's fragment in place (no genealogy node).
@@ -186,7 +184,7 @@ val to_dot : t -> string
 
 val to_json : t -> Jsonx.t
 (** Full export (schema ["vstamp-idspace/1"]): every node with lineage
-    and fragment, plus {!stats_json} and the current audit. *)
+    and fragment, plus its {!stats} and the current audit. *)
 
 (** {1 Metrics} *)
 

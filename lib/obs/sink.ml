@@ -21,18 +21,17 @@ let memory () =
 
 let contents t = match t.buffer with Some buf -> List.rev !buf | None -> []
 
-let to_file ?(fsync = true) path =
+let to_file path =
   let oc = open_out path in
   let closed = ref false in
-  (* Push buffered lines to the OS and — when asked — to the disk, so a
-     run cut short by a signal or an uncaught exception does not leave
-     the JSONL truncated mid-line. *)
+  (* Push buffered lines to the OS and to the disk, so a run cut short
+     by a signal or an uncaught exception does not leave the JSONL
+     truncated mid-line. *)
   let flush_now () =
     if not !closed then begin
       flush oc;
-      if fsync then
-        try Unix.fsync (Unix.descr_of_out_channel oc)
-        with Unix.Unix_error _ -> ()
+      try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error _ -> ()
     end
   in
   at_exit (fun () -> try flush_now () with Sys_error _ -> ());

@@ -13,11 +13,11 @@ val contents : t -> Event.t list
 (** Events of a {!memory} sink, oldest first; [[]] for other sinks
     (including a {!tee} of memory sinks — read the children). *)
 
-val to_file : ?fsync:bool -> string -> t
+val to_file : string -> t
 (** Open (truncate) a file for JSONL output; {!close} closes it.
 
-    Durability: the sink registers an [at_exit] hook that flushes (and,
-    with [fsync], [Unix.fsync]s — the default) the file, so a process
+    Durability: the sink registers an [at_exit] hook that flushes and
+    [Unix.fsync]s the file, so a process
     that exits or dies on an uncaught exception does not truncate the
     stream mid-line.  Signal deaths bypass [at_exit]; long-running
     drivers should install handlers that call {!flush} or {!close}
@@ -37,7 +37,7 @@ val emitted : t -> int
 (** Events accepted so far (including by [null]). *)
 
 val flush : t -> unit
-(** Push buffered output to the OS (and disk, for a fsyncing
-    {!to_file} sink).  No-op for memory and null sinks. *)
+(** Push buffered output to the OS (and disk, for a {!to_file}
+    sink).  No-op for memory and null sinks. *)
 
 val close : t -> unit

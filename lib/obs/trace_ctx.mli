@@ -59,10 +59,6 @@ val of_header : string -> (ctx, string) result
 
 val span_equal : span -> span -> bool
 
-val span_to_json : span -> Jsonx.t
-
-val span_of_json : Jsonx.t -> (span, string) result
-
 val span_to_string : span -> string
 
 val span_of_string : string -> (span, string) result

@@ -5,62 +5,41 @@
     creation ({!add_new}) or by receiving a replica during a
     {!Sync.session}.
 
-    Generic in the file-copy implementation (and hence the stamp
-    backend) via {!Make}; the top level is the default (tree)
-    instantiation, whose [file] type is {!File_copy.t}. *)
+    Its files are {!File_copy.t}s. *)
 
-module Make (F : sig
-  type t
+type file = File_copy.t
 
-  val create : path:string -> content:string -> t
+type t
 
-  val edit : t -> content:string -> t
+val create : name:string -> t
 
-  val path : t -> string
+val name : t -> string
 
-  val size_bits : t -> int
+val paths : t -> string list
+(** Sorted logical paths present in this store. *)
 
-  val pp : Format.formatter -> t -> unit
-end) : sig
-  type file = F.t
+val find : t -> string -> file option
 
-  type t
+val file_count : t -> int
 
-  val create : name:string -> t
+val mem : t -> string -> bool
 
-  val name : t -> string
+val add_new : t -> path:string -> content:string -> t
+(** Create a brand-new logical file on this device.
+    @raise Invalid_argument if the path already exists here. *)
 
-  val paths : t -> string list
-  (** Sorted logical paths present in this store. *)
+val edit : t -> path:string -> content:string -> t
+(** @raise Invalid_argument if the path is absent. *)
 
-  val find : t -> string -> file option
+val remove : t -> path:string -> t
 
-  val file_count : t -> int
+val set : t -> file -> t
+(** Insert or replace the copy at its own path. *)
 
-  val mem : t -> string -> bool
+val fold : (file -> 'a -> 'a) -> t -> 'a -> 'a
+(** In ascending path order. *)
 
-  val add_new : t -> path:string -> content:string -> t
-  (** Create a brand-new logical file on this device.
-      @raise Invalid_argument if the path already exists here. *)
+val total_tracking_bits : t -> int
+(** Total stamp overhead across the store. *)
 
-  val edit : t -> path:string -> content:string -> t
-  (** @raise Invalid_argument if the path is absent. *)
-
-  val remove : t -> path:string -> t
-
-  val set : t -> file -> t
-  (** Insert or replace the copy at its own path. *)
-
-  val fold : (file -> 'a -> 'a) -> t -> 'a -> 'a
-  (** In ascending path order. *)
-
-  val total_tracking_bits : t -> int
-  (** Total stamp overhead across the store. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-module Over_tree : module type of Make (File_copy.Over_tree)
-
-include module type of Over_tree with type t = Over_tree.t
-(** The default (tree-backed) instantiation. *)
+val pp : Format.formatter -> t -> unit

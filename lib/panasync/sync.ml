@@ -5,8 +5,7 @@ module Ledger = Vstamp_sync.Ledger
 (* Optional live instrumentation, off by default (mirrors
    Kv_node.Obs): when attached, every session, reconciled file and
    propagated byte counts into a registry for the embedded telemetry
-   server to expose.  The counters are shared by every instantiation of
-   {!Make}, whichever backend it runs over.  The delta ledger (shipped /
+   server to expose.  The delta ledger (shipped /
    minimal / redundant / efficiency) is the shared {!Vstamp_sync.Ledger}
    family under the [sync_] prefix. *)
 module Obs = struct
@@ -101,178 +100,144 @@ let outcome_slug = function
 
 let conflicts reports = List.filter (fun r -> r.outcome = Conflict) reports
 
-module Make (F : sig
-  type t
+(* Content bytes a reconciliation moved between the devices: the
+   propagated or resolved payload; nothing for equivalent copies or a
+   conflict left standing. *)
+let moved_bytes outcome l r =
+  match outcome with
+  | Propagated_left_to_right -> String.length (File_copy.content l)
+  | Propagated_right_to_left -> String.length (File_copy.content r)
+  | Resolved -> String.length (File_copy.content l)
+  | Created | Unchanged | Conflict -> 0
 
-  val path : t -> string
+let meta_bytes c = (File_copy.size_bits c + 7) / 8
 
-  val content : t -> string
+(* Wire accounting for one reconciled pair, charged on the
+   post-reconciliation copies (what actually crossed, with the stamps
+   the session left behind).  The split is the engine's unified
+   formula: shipped = both metadatas + moved payload; minimal = what a
+   frontier-exchange protocol needs. *)
+let charge_of outcome l r =
+  {
+    Engine.meta_a = meta_bytes l;
+    meta_b = meta_bytes r;
+    payload = moved_bytes outcome l r;
+  }
 
-  val size_bits : t -> int
+(* The engine store adapter: a panasync store keyed by path, with the
+   copies' frontier view (stamp + lineage, no payload) as metadata and
+   an MD5 content digest standing in for the old direct content
+   comparison of observationally-equal copies. *)
+module ES = struct
+  type t = Store.t
 
-  val relation : t -> t -> Relation.t
+  type item = File_copy.t
 
-  val resolve : t -> t -> content:string -> t * t
+  type meta = File_copy.meta
 
-  val propagate : from:t -> into:t -> t * t
+  let fold f store init =
+    Store.fold (fun c acc -> f (File_copy.path c) c acc) store init
 
-  val replicate : t -> t * t
+  let find = Store.find
 
-  type meta
+  let set store _key item = Store.set store item
 
-  val meta : t -> meta
+  let meta_of = File_copy.meta
 
-  val meta_relation : meta -> meta -> Relation.t
+  let relation = File_copy.meta_relation
 
-  val meta_bits : meta -> int
+  let meta_bytes m = (File_copy.meta_bits m + 7) / 8
 
-  val of_meta : path:string -> meta -> t
-end) (St : sig
-  type t
+  let payload_bytes item = String.length (File_copy.content item)
 
-  val fold : (F.t -> 'a -> 'a) -> t -> 'a -> 'a
+  let digest item = Digest.string (File_copy.content item)
 
-  val find : t -> string -> F.t option
-
-  val set : t -> F.t -> t
-end) =
-struct
-  (* Content bytes a reconciliation moved between the devices: the
-     propagated or resolved payload; nothing for equivalent copies or a
-     conflict left standing. *)
-  let moved_bytes outcome l r =
-    match outcome with
-    | Propagated_left_to_right -> String.length (F.content l)
-    | Propagated_right_to_left -> String.length (F.content r)
-    | Resolved -> String.length (F.content l)
-    | Created | Unchanged | Conflict -> 0
-
-  let meta_bytes c = (F.size_bits c + 7) / 8
-
-  (* Wire accounting for one reconciled pair, charged on the
-     post-reconciliation copies (what actually crossed, with the stamps
-     the session left behind).  The split is the engine's unified
-     formula: shipped = both metadatas + moved payload; minimal = what a
-     frontier-exchange protocol needs. *)
-  let charge_of outcome l r =
-    {
-      Engine.meta_a = meta_bytes l;
-      meta_b = meta_bytes r;
-      payload = moved_bytes outcome l r;
-    }
-
-  (* The engine store adapter: a panasync store keyed by path, with the
-     copies' frontier view (stamp + lineage, no payload) as metadata and
-     an MD5 content digest standing in for the old direct content
-     comparison of observationally-equal copies. *)
-  module ES = struct
-    type t = St.t
-
-    type item = F.t
-
-    type meta = F.meta
-
-    let fold f store init = St.fold (fun c acc -> f (F.path c) c acc) store init
-
-    let find = St.find
-
-    let set store _key item = St.set store item
-
-    let meta_of = F.meta
-
-    let relation = F.meta_relation
-
-    let meta_bytes m = (F.meta_bits m + 7) / 8
-
-    let payload_bytes item = String.length (F.content item)
-
-    let digest item = Digest.string (F.content item)
-
-    let of_meta ~key m = F.of_meta ~path:key m
-  end
-
-  module E = Engine.Make (ES)
-
-  (* The per-path reconciliation the engine drives: [left] is the
-     initiator's copy (a payload-less phantom when this side dominates
-     it — propagation never reads the dominated content), [right] this
-     side's. *)
-  let sync_file policy ~key:_ left right =
-    let relation = F.relation left right in
-    let l, r, outcome =
-      match relation with
-      | (Relation.Equal | Relation.Concurrent)
-        when String.equal (F.content left) (F.content right) ->
-          (* equivalent copies, or concurrent histories (possibly
-             unrelated lineages) with identical contents: observationally
-             nothing to reconcile *)
-          (left, right, Unchanged)
-      | Relation.Dominates ->
-          let l, r = F.propagate ~from:left ~into:right in
-          (l, r, Propagated_left_to_right)
-      | Relation.Dominated ->
-          let r, l = F.propagate ~from:right ~into:left in
-          (l, r, Propagated_right_to_left)
-      | Relation.Equal | Relation.Concurrent -> (
-          (* Different contents.  Equivalent stamps can then only mean
-             the two copies were created independently (separate seed
-             lineages share no causal context), so this is a genuine
-             conflict even though the stamps cannot see it. *)
-          let resolve content =
-            let l, r = F.resolve left right ~content in
-            (l, r, Resolved)
-          in
-          match policy with
-          | Manual -> (left, right, Conflict)
-          | Prefer_left -> resolve (F.content left)
-          | Prefer_right -> resolve (F.content right)
-          | Merge f ->
-              resolve (f ~left:(F.content left) ~right:(F.content right)))
-    in
-    {
-      E.item_a = l;
-      item_b = r;
-      relation;
-      outcome;
-      charge = charge_of outcome l r;
-    }
-
-  let engine_config policy =
-    { E.reconcile = sync_file policy; replicate = F.replicate }
-
-  let spans =
-    { E.span_session = "sync.session"; span_apply = "sync.apply"; unit_key = "files" }
-
-  let session ?(policy = Manual) left right =
-    let left, right, reports =
-      E.session ~spans (engine_config policy) left right
-    in
-    Obs.on (fun c ->
-        Ledger.round c.Obs.ledger;
-        List.iter
-          (fun r ->
-            Ledger.account c.Obs.ledger ~shipped:r.shipped ~minimal:r.minimal;
-            Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug r.outcome));
-            Vstamp_obs.Metric.add c.Obs.bytes r.payload;
-            if r.outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
-          reports);
-    (left, right, reports)
-
-  (* Observational convergence: both stores hold every path with equal
-     content.  (Stamp equivalence is deliberately not required: copies of
-     colliding-but-independent lineages stay formally concurrent while
-     being indistinguishable to any reader, and a session on them is a
-     no-op.) *)
-  let converged left right =
-    let held_by other c =
-      match St.find other (F.path c) with
-      | Some o -> String.equal (F.content c) (F.content o)
-      | None -> false
-    in
-    St.fold (fun c ok -> ok && held_by right c) left true
-    && St.fold (fun c ok -> ok && held_by left c) right true
+  let of_meta ~key m = File_copy.of_meta ~path:key m
 end
 
-module Over_tree = Make (File_copy.Over_tree) (Store.Over_tree)
+module E = Engine.Make (ES)
 
-include Over_tree
+(* The per-path reconciliation the engine drives: [left] is the
+   initiator's copy (a payload-less phantom when this side dominates
+   it — propagation never reads the dominated content), [right] this
+   side's. *)
+let sync_file policy ~key:_ left right =
+  let relation = File_copy.relation left right in
+  let l, r, outcome =
+    match relation with
+    | (Relation.Equal | Relation.Concurrent)
+      when String.equal (File_copy.content left) (File_copy.content right) ->
+        (* equivalent copies, or concurrent histories (possibly
+           unrelated lineages) with identical contents: observationally
+           nothing to reconcile *)
+        (left, right, Unchanged)
+    | Relation.Dominates ->
+        let l, r = File_copy.propagate ~from:left ~into:right in
+        (l, r, Propagated_left_to_right)
+    | Relation.Dominated ->
+        let r, l = File_copy.propagate ~from:right ~into:left in
+        (l, r, Propagated_right_to_left)
+    | Relation.Equal | Relation.Concurrent -> (
+        (* Different contents.  Equivalent stamps can then only mean
+           the two copies were created independently (separate seed
+           lineages share no causal context), so this is a genuine
+           conflict even though the stamps cannot see it. *)
+        let resolve content =
+          let l, r = File_copy.resolve left right ~content in
+          (l, r, Resolved)
+        in
+        match policy with
+        | Manual -> (left, right, Conflict)
+        | Prefer_left -> resolve (File_copy.content left)
+        | Prefer_right -> resolve (File_copy.content right)
+        | Merge f ->
+            resolve
+              (f ~left:(File_copy.content left)
+                 ~right:(File_copy.content right)))
+  in
+  {
+    E.item_a = l;
+    item_b = r;
+    relation;
+    outcome;
+    charge = charge_of outcome l r;
+  }
+
+let engine_config policy =
+  { E.reconcile = sync_file policy; replicate = File_copy.replicate }
+
+let spans =
+  {
+    E.span_session = "sync.session";
+    span_apply = "sync.apply";
+    unit_key = "files";
+  }
+
+let session ?(policy = Manual) left right =
+  let left, right, reports =
+    E.session ~spans (engine_config policy) left right
+  in
+  Obs.on (fun c ->
+      Ledger.round c.Obs.ledger;
+      List.iter
+        (fun r ->
+          Ledger.account c.Obs.ledger ~shipped:r.shipped ~minimal:r.minimal;
+          Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug r.outcome));
+          Vstamp_obs.Metric.add c.Obs.bytes r.payload;
+          if r.outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+        reports);
+  (left, right, reports)
+
+(* Observational convergence: both stores hold every path with equal
+   content.  (Stamp equivalence is deliberately not required: copies of
+   colliding-but-independent lineages stay formally concurrent while
+   being indistinguishable to any reader, and a session on them is a
+   no-op.) *)
+let converged left right =
+  let held_by other c =
+    match Store.find other (File_copy.path c) with
+    | Some o -> String.equal (File_copy.content c) (File_copy.content o)
+    | None -> false
+  in
+  Store.fold (fun c ok -> ok && held_by right c) left true
+  && Store.fold (fun c ok -> ok && held_by left c) right true

@@ -20,11 +20,7 @@
     only what it cannot prove redundant, and reconciliation happens
     responder-side with replica branches shipped back.  In-process the
     legs compose directly, so the result is indistinguishable from the
-    historical full walk.
-
-    Generic in the file-copy and store implementations (and hence the
-    stamp backend) via {!Make}; the top level is the default (tree)
-    instantiation. *)
+    historical full walk.  Copies are {!File_copy.t}s in {!Store.t}s. *)
 
 type policy =
   | Manual  (** Leave conflicting copies untouched and report them. *)
@@ -54,68 +50,18 @@ type report = Vstamp_sync.Engine.report = {
   minimal : int;
 }
 
-val outcome_to_string : outcome -> string
-
 val pp_report : Format.formatter -> report -> unit
 
 val conflicts : report list -> report list
 
-module Make (F : sig
-  type t
+val session :
+  ?policy:policy -> Store.t -> Store.t -> Store.t * Store.t * report list
+(** Synchronize two stores; returns both updated stores and one report
+    per logical path (sorted by path).  Default policy is [Manual]. *)
 
-  val path : t -> string
-
-  val content : t -> string
-
-  val size_bits : t -> int
-  (** Causality-metadata size of one copy — the wire-size estimate the
-      delta accounting charges per compared stamp. *)
-
-  val relation : t -> t -> Vstamp_core.Relation.t
-
-  val resolve : t -> t -> content:string -> t * t
-
-  val propagate : from:t -> into:t -> t * t
-
-  val replicate : t -> t * t
-
-  type meta
-  (** The frontier view of one copy (stamp metadata, no payload) — what
-      an anti-entropy offer ships per path (see {!Vstamp_sync.Engine}). *)
-
-  val meta : t -> meta
-
-  val meta_relation : meta -> meta -> Vstamp_core.Relation.t
-
-  val meta_bits : meta -> int
-
-  val of_meta : path:string -> meta -> t
-  (** A payload-less phantom used as the dominated side of {!propagate};
-      its content is never read. *)
-end) (St : sig
-  type t
-
-  val fold : (F.t -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Every copy once, in ascending path order, each under its own
-      path. *)
-
-  val find : t -> string -> F.t option
-
-  val set : t -> F.t -> t
-end) : sig
-  val session : ?policy:policy -> St.t -> St.t -> St.t * St.t * report list
-  (** Synchronize two stores; returns both updated stores and one report
-      per logical path (sorted by path).  Default policy is [Manual]. *)
-
-  val converged : St.t -> St.t -> bool
-  (** Both stores hold content-identical copies of every logical path
-      (observational convergence; further sessions are no-ops). *)
-end
-
-module Over_tree : module type of Make (File_copy.Over_tree) (Store.Over_tree)
-
-include module type of Over_tree
-(** The default (tree-backed) instantiation. *)
+val converged : Store.t -> Store.t -> bool
+(** Both stores hold content-identical copies of every logical path
+    (observational convergence; further sessions are no-ops). *)
 
 (** {1 Live instrumentation}
 
@@ -126,8 +72,7 @@ include module type of Over_tree
     [conflict]), the content bytes that crossed between the devices
     (replicated, propagated or resolved payloads) accumulate in
     [sync_bytes_total], and surfaced conflicts in
-    [sync_conflicts_total].  Counters are shared by every instantiation
-    of {!Make}.
+    [sync_conflicts_total].
 
     Delta accounting rides along: [sync_shipped_bytes_total] counts
     what the session's full walk exchanges (both copies' stamp metadata

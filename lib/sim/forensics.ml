@@ -1,12 +1,11 @@
 open Vstamp_core
 module CT = Vstamp_obs.Causal_trace
 
-let record ?(with_oracle = false) ?check_invariants ?registry ?sink
-    ?violation_out packed ops =
+let record ?check_invariants ?violation_out packed ops =
   let tr = CT.create () in
   let result =
-    System.run ~with_oracle ?check_invariants ?registry ?sink ?violation_out
-      ~trace:tr packed ops
+    System.run ~with_oracle:false ?check_invariants ?violation_out ~trace:tr
+      packed ops
   in
   (tr, result)
 

@@ -8,18 +8,15 @@
     JSONL.  That byte-identity is the replay verdict. *)
 
 val record :
-  ?with_oracle:bool ->
   ?check_invariants:bool ->
-  ?registry:Vstamp_obs.Registry.t ->
-  ?sink:Vstamp_obs.Sink.t ->
   ?violation_out:string ->
   Tracker.packed ->
   Vstamp_core.Execution.op list ->
   Vstamp_obs.Causal_trace.t * System.result
 (** Run the trace through {!System.run} with a fresh causal-trace
     recorder attached; returns the recorded DAG alongside the run
-    result.  [with_oracle] defaults to [false] (forensics does not need
-    accuracy scoring). *)
+    result.  The oracle is not run: forensics does not need accuracy
+    scoring. *)
 
 val ops_of_trace :
   Vstamp_obs.Causal_trace.t ->

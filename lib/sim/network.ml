@@ -60,9 +60,6 @@ let is_idle t i =
 let stamp_of t i =
   match t.nodes.(i) with Idle (s, _) -> Some s | Waiting -> None
 
-let history_of t i =
-  match t.nodes.(i) with Idle (_, h) -> Some h | Waiting -> None
-
 let inflight_count t = List.length t.inflight
 
 let quiescent t =
@@ -134,17 +131,18 @@ let deliver t k =
 
 (* --- random driver --- *)
 
-type schedule = { p_update : float; p_sync : float }
+(* The remaining probability mass delivers a random in-flight message. *)
+let p_update = 0.45
 
-let default_schedule = { p_update = 0.45; p_sync = 0.25 }
+let p_sync = 0.25
 
-let step ?(schedule = default_schedule) rng t =
+let step rng t =
   let n = node_count t in
   let roll, rng = Rng.float rng in
-  if roll < schedule.p_update then
+  if roll < p_update then
     let i, rng = Rng.int rng n in
     match update t i with Some t' -> (t', rng) | None -> (t, rng)
-  else if roll < schedule.p_update +. schedule.p_sync && n >= 2 then
+  else if roll < p_update +. p_sync && n >= 2 then
     let i, rng = Rng.int rng n in
     let j0, rng = Rng.int rng (n - 1) in
     let j = if j0 >= i then j0 + 1 else j0 in
@@ -167,11 +165,11 @@ let drain t =
   in
   go t (1000 + (inflight_count t * 4))
 
-let run ?schedule ~seed ~steps ~nodes () =
+let run ~seed ~steps ~nodes () =
   let rec go rng t k =
     if k = 0 then drain t
     else
-      let t, rng = step ?schedule rng t in
+      let t, rng = step rng t in
       go rng t (k - 1)
   in
   go (Rng.make seed) (create ~nodes) steps

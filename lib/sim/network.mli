@@ -32,8 +32,6 @@ val is_idle : t -> int -> bool
 val stamp_of : t -> int -> Vstamp_core.Stamp.t option
 (** [None] while the node's identity is in flight. *)
 
-val history_of : t -> int -> Vstamp_core.Causal_history.t option
-
 val inflight_count : t -> int
 
 val quiescent : t -> bool
@@ -54,18 +52,15 @@ val deliver : t -> int -> t option
 
 (** {1 Random driver} *)
 
-type schedule = { p_update : float; p_sync : float }
-(** Remaining probability mass delivers a random in-flight message. *)
-
-val default_schedule : schedule
-
-val step : ?schedule:schedule -> Rng.t -> t -> t * Rng.t
+val step : Rng.t -> t -> t * Rng.t
+(** One random event: an update with probability 0.45, a sync started
+    with 0.25, otherwise the delivery of a random in-flight message. *)
 
 val drain : t -> t
 (** Deliver everything in flight (in queue order) until quiescent.
     @raise Protocol_error if the network fails to quiesce. *)
 
-val run : ?schedule:schedule -> seed:int -> steps:int -> nodes:int -> unit -> t
+val run : seed:int -> steps:int -> nodes:int -> unit -> t
 (** [steps] random events from a fresh network, then {!drain}. *)
 
 (** {1 Whole-network checks} *)

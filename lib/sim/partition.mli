@@ -18,8 +18,6 @@ val of_groups : int list -> t
 
 val groups : t -> int list
 
-val group_of : t -> int -> int
-
 val size : t -> int
 
 val apply : t -> Vstamp_core.Execution.op -> t
@@ -27,8 +25,6 @@ val apply : t -> Vstamp_core.Execution.op -> t
 
 val positions_in : t -> int -> int list
 (** Frontier positions currently in a group. *)
-
-val same_group : t -> int -> int -> bool
 
 val op_allowed : t -> Vstamp_core.Execution.op -> bool
 (** Updates and forks are always local; joins require a common group. *)

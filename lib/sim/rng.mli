@@ -10,8 +10,6 @@ type t
 val make : int -> t
 (** Seeded generator. *)
 
-val of_int64 : int64 -> t
-
 val next : t -> int64 * t
 (** Raw 64-bit draw. *)
 

@@ -72,7 +72,5 @@ end
 (** Frontier bookkeeping along the Figure 2 trace, illustrating the
     Section 1.2 distinction between frontier and overall ordering. *)
 module Frontiers : sig
-  val all_frontiers : unit -> Vstamp_core.Stamp.t list list
-
   val frontier_sizes : unit -> int list
 end

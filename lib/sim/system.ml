@@ -396,13 +396,8 @@ let run ?(with_oracle = true) ?registry ?sink ?(check_invariants = false)
   | None -> ());
   result
 
-let run_all ?with_oracle ?registry ?sink ?check_invariants ?sampling
-    ?sample_seed ?profile trackers ops =
-  List.map
-    (fun t ->
-      run ?with_oracle ?registry ?sink ?check_invariants ?sampling
-        ?sample_seed ?profile t ops)
-    trackers
+let run_all ?with_oracle ?sink trackers ops =
+  List.map (fun t -> run ?with_oracle ?sink t ops) trackers
 
 let pp_accuracy ppf = function
   | None -> Format.pp_print_string ppf "-"

@@ -117,17 +117,10 @@ val run :
 
 val run_all :
   ?with_oracle:bool ->
-  ?registry:Vstamp_obs.Registry.t ->
   ?sink:Vstamp_obs.Sink.t ->
-  ?check_invariants:bool ->
-  ?sampling:Vstamp_obs.Monitor.sampling ->
-  ?sample_seed:int ->
-  ?profile:Vstamp_obs.Profile.t ->
   Tracker.packed list ->
   Vstamp_core.Execution.op list ->
   result list
-
-val pp_accuracy : Format.formatter -> accuracy option -> unit
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -35,14 +35,11 @@ val counters_event : ?step:int -> unit -> Vstamp_obs.Event.t
 
 (** {1 Invariant witnesses} *)
 
-val violation_to_json : Vstamp_core.Invariants.violation -> Vstamp_obs.Jsonx.t
-(** [{"invariant": "I2", "at": [i, j]}] — the structured form of the
-    core witness type, used by the [invariant.violation] events. *)
-
 val violation_witness :
   violations:Vstamp_core.Invariants.violation list ->
   order_failures:int list ->
   (string * Vstamp_obs.Jsonx.t) list
-(** Witness fields for {!Vstamp_obs.Monitor.check}: the serialized
-    I1–I3 violations plus frontier positions whose tracker order failed
-    the reflexivity sanity check.  Empty iff both lists are empty. *)
+(** Witness fields for {!Vstamp_obs.Monitor.check}: the I1–I3
+    violations, each as [{"invariant": "I2", "at": [i, j]}], plus
+    frontier positions whose tracker order failed the reflexivity
+    sanity check.  Empty iff both lists are empty. *)

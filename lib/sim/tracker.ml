@@ -2,19 +2,9 @@ open Vstamp_core
 open Vstamp_vv
 
 module type S = sig
-  type t
-
-  type state
+  include Execution.SUBJECT
 
   val name : string
-
-  val initial : state * t
-
-  val update : state -> t -> state * t
-
-  val fork : state -> t -> state * (t * t)
-
-  val join : state -> t -> t -> state * t
 
   val leq : t -> t -> bool
 
@@ -29,96 +19,36 @@ type packed = Packed : (module S with type t = 'a and type state = 'b) -> packed
 
 let name (Packed (module T)) = T.name
 
-(* One stamp adapter for every name backend (and both join flavours):
-   the three hand-written copies this replaces differed only in the
-   stamp module and the [reduce] flag. *)
-module Of_stamp (B : sig
-  val name : string
+(* Every stamp tracker: [Execution]'s subject over one backend's stamps
+   ([reduce] selects the Section 6 join), checked by its invariants. *)
+let of_stamp ~name ~reduce b =
+  let module B = (val b : Backend.S) in
+  let module Subjects = Execution.Stamp_subject (B.Stamp) in
+  let module I = Invariants.Make (B.Name) (B.Stamp) in
+  let module T = struct
+    include (val Subjects.make ~reduce)
 
-  val reduce : bool
+    let name = name
 
-  include Backend.S
-end) : S with type t = B.Stamp.t and type state = unit = struct
-  module I = Invariants.Make (B.Name) (B.Stamp)
+    let leq = B.Stamp.leq
 
-  type t = B.Stamp.t
+    let size_bits = B.Stamp.size_bits
 
-  type state = unit
+    let invariants = I.check
 
-  let name = B.name
-
-  let initial = ((), B.Stamp.seed)
-
-  let update () x = ((), B.Stamp.update x)
-
-  let fork () x = ((), B.Stamp.fork x)
-
-  let join () a b = ((), B.Stamp.join ~reduce:B.reduce a b)
-
-  let leq = B.Stamp.leq
-
-  let size_bits = B.Stamp.size_bits
-
-  let invariants = I.check
-
-  let pp = B.Stamp.pp
-end
+    let pp = B.Stamp.pp
+  end in
+  Packed (module T)
 
 (* The tree backend keeps its historical bare name; others are
-   suffixed with their registry key. *)
+   suffixed with their key. *)
 let stamp_tracker_name key =
   if String.equal key Backend.default_key then "stamps" else "stamps-" ^ key
 
-module Stamps = Of_stamp (struct
-  let name = "stamps"
-
-  let reduce = true
-
-  include Backend.Over_tree
-end)
-
-module Stamps_nonreducing = Of_stamp (struct
-  let name = "stamps-noreduce"
-
-  let reduce = false
-
-  include Backend.Over_tree
-end)
-
-module Stamps_list = Of_stamp (struct
-  let name = "stamps-list"
-
-  let reduce = true
-
-  include Backend.Over_list
-end)
-
-module Stamps_packed = Of_stamp (struct
-  let name = "stamps-packed"
-
-  let reduce = true
-
-  include Backend.Over_packed
-end)
-
-module Histories :
-  S with type t = Causal_history.t and type state = Causal_history.Gen.t =
-struct
-  type t = Causal_history.t
-
-  type state = Causal_history.Gen.t
+module Histories = struct
+  include Execution.Histories
 
   let name = "causal-histories"
-
-  let initial = (Causal_history.Gen.initial, Causal_history.empty)
-
-  let update gen h =
-    let e, gen = Causal_history.Gen.fresh gen in
-    (gen, Causal_history.add_event e h)
-
-  let fork gen h = (gen, (h, h))
-
-  let join gen a b = (gen, Causal_history.union a b)
 
   let leq = Causal_history.subset
 
@@ -138,8 +68,7 @@ end
    perfectly available central allocator — the comparison is about size
    and correctness, with the availability question treated separately by
    {!Partition}. *)
-module Vv : S with type t = Version_vector.Replica.t and type state = int =
-struct
+module Vv = struct
   type t = Version_vector.Replica.t
 
   type state = int
@@ -169,7 +98,7 @@ struct
   let pp = Version_vector.Replica.pp
 end
 
-module Dvv : S with type t = Dynamic_vv.t and type state = int = struct
+module Dvv = struct
   type t = Dynamic_vv.t
 
   type state = int
@@ -194,72 +123,49 @@ module Dvv : S with type t = Dynamic_vv.t and type state = int = struct
   let pp = Dynamic_vv.pp
 end
 
-module Plausible (R : sig
-  val size : int
-end) : S with type t = Plausible_clock.t * int and type state = int = struct
-  type t = Plausible_clock.t * int
-  (* clock plus the replica's own id, folded onto a slot at updates *)
+let plausible size =
+  let module P = struct
+    type t = Plausible_clock.t * int
+    (* clock plus the replica's own id, folded onto a slot at updates *)
 
-  type state = int
+    type state = int
 
-  let name = Printf.sprintf "plausible-%d" R.size
+    let name = Printf.sprintf "plausible-%d" size
 
-  let initial = (1, (Plausible_clock.create ~size:R.size, 0))
+    let initial = (1, (Plausible_clock.create ~size, 0))
 
-  let update next (c, id) = (next, (Plausible_clock.increment c ~id, id))
+    let update next (c, id) = (next, (Plausible_clock.increment c ~id, id))
 
-  let fork next (c, id) = (next + 1, ((c, id), (c, next)))
+    let fork next (c, id) = (next + 1, ((c, id), (c, next)))
 
-  let join next (ca, ida) (cb, _) = (next, (Plausible_clock.merge ca cb, ida))
+    let join next (ca, ida) (cb, _) = (next, (Plausible_clock.merge ca cb, ida))
 
-  let leq (a, _) (b, _) = Plausible_clock.leq a b
+    let leq (a, _) (b, _) = Plausible_clock.leq a b
 
-  let size_bits (c, _) = Plausible_clock.size_bits c
+    let size_bits (c, _) = Plausible_clock.size_bits c
 
-  let invariants _ = []
+    let invariants _ = []
 
-  let pp ppf (c, id) = Format.fprintf ppf "r%d%a" id Plausible_clock.pp c
-end
+    let pp ppf (c, id) = Format.fprintf ppf "r%d%a" id Plausible_clock.pp c
+  end in
+  Packed (module P)
 
-module Plausible4 = Plausible (struct
-  let size = 4
-end)
+let stamps = of_stamp ~name:"stamps" ~reduce:true (module Backend.Over_tree)
 
-module Plausible8 = Plausible (struct
-  let size = 8
-end)
+let stamps_nonreducing =
+  of_stamp ~name:"stamps-noreduce" ~reduce:false (module Backend.Over_tree)
 
-let stamps = Packed (module Stamps)
+let stamps_list =
+  of_stamp ~name:"stamps-list" ~reduce:true (module Backend.Over_list)
 
-let stamps_nonreducing = Packed (module Stamps_nonreducing)
+let stamps_packed =
+  of_stamp ~name:"stamps-packed" ~reduce:true (module Backend.Over_packed)
 
-let stamps_list = Packed (module Stamps_list)
-
-let stamps_packed = Packed (module Stamps_packed)
-
-(* Build a stamp tracker from any backend value, e.g. one freshly pulled
-   out of the registry. *)
-let of_backend ?(reduce = true) ~name b =
-  let module B = (val b : Backend.S) in
-  let module T = Of_stamp (struct
-    let name = name
-
-    let reduce = reduce
-
-    include B
-  end) in
-  Packed (module T)
-
-(* One stamp tracker per registered backend, in registry (key) order.
-   The two in-tree backends resolve to the statically built modules
-   above so their [t] types stay equal to the exposed ones. *)
+(* One stamp tracker per keyed backend, in key order. *)
 let of_registry () =
   List.map
     (fun (e : Backend.entry) ->
-      match e.key with
-      | "tree" -> stamps
-      | "packed" -> stamps_packed
-      | key -> of_backend ~name:(stamp_tracker_name key) e.impl)
+      of_stamp ~name:(stamp_tracker_name e.key) ~reduce:true e.impl)
     (Backend.entries ())
 
 let histories = Packed (module Histories)
@@ -268,15 +174,9 @@ let version_vectors = Packed (module Vv)
 
 let dynamic_vv = Packed (module Dvv)
 
-let plausible size =
-  let module P = Plausible (struct
-    let size = size
-  end) in
-  Packed (module P)
-
 (* The sweep set: the default stamp tracker first (its historical
    position), the non-reducing variant, the list specification, then
-   the remaining registry backends, then the baselines. *)
+   the other keyed backends, then the baselines. *)
 let all =
   (stamps :: stamps_nonreducing :: stamps_list
    :: List.filter (fun t -> name t <> "stamps") (of_registry ()))

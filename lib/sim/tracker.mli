@@ -6,22 +6,18 @@
     generator for the oracle, an id allocator for vector-based baselines
     (granted here as a perfectly available central counter; its
     {e unavailability} under partition is modelled by {!Partition} and
-    {!Vstamp_vv.Id_source}). *)
+    {!Vstamp_vv.Id_source}).
+
+    Every stamp tracker is {!Vstamp_core.Execution.Stamp_subject} over
+    one backend, and the causal-history tracker is
+    {!Vstamp_core.Execution.Histories}: a tracker replays a trace with
+    the same update, fork and join that {!Vstamp_core.Execution.Run}
+    uses. *)
 
 module type S = sig
-  type t
-
-  type state
+  include Vstamp_core.Execution.SUBJECT
 
   val name : string
-
-  val initial : state * t
-
-  val update : state -> t -> state * t
-
-  val fork : state -> t -> state * (t * t)
-
-  val join : state -> t -> t -> state * t
 
   val leq : t -> t -> bool
   (** The mechanism's frontier order; accuracy is judged against the
@@ -43,56 +39,17 @@ type packed = Packed : (module S with type t = 'a and type state = 'b) -> packed
 
 val name : packed -> string
 
-(** One stamp adapter for every name backend: the [Stamps*] modules
-    below are instantiations.  [name] is the tracker's display name,
-    [reduce] selects the Section 6 normal-form join (the Section 4
-    non-reducing model when [false]). *)
-module Of_stamp (B : sig
-  val name : string
-
-  val reduce : bool
-
-  include Vstamp_core.Backend.S
-end) : S with type t = B.Stamp.t and type state = unit
-
-module Stamps : S with type t = Vstamp_core.Stamp.t and type state = unit
-
-module Stamps_nonreducing :
-  S with type t = Vstamp_core.Stamp.t and type state = unit
-
-module Stamps_list :
-  S with type t = Vstamp_core.Stamp.Over_list.t and type state = unit
-
-module Stamps_packed :
-  S with type t = Vstamp_core.Stamp.Over_packed.t and type state = unit
-
-module Histories :
-  S
-    with type t = Vstamp_core.Causal_history.t
-     and type state = Vstamp_core.Causal_history.Gen.t
-
-module Vv :
-  S with type t = Vstamp_vv.Version_vector.Replica.t and type state = int
-
-module Dvv : S with type t = Vstamp_vv.Dynamic_vv.t and type state = int
-
-module Plausible (_ : sig
-  val size : int
-end) : S with type t = Vstamp_vv.Plausible_clock.t * int and type state = int
-
 val stamps : packed
+(** Tree stamps with the Section 6 join. *)
 
 val stamps_nonreducing : packed
+(** Tree stamps in the Section 4 non-reducing model. *)
 
 val stamps_list : packed
 (** Stamps over the list specification, {!Vstamp_core.Backend.Over_list},
-    which the registry leaves out. *)
+    which has no key. *)
 
 val stamps_packed : packed
-
-val of_backend : ?reduce:bool -> name:string -> (module Vstamp_core.Backend.S) -> packed
-(** A stamp tracker over any backend value ([reduce] defaults to
-    [true]); use for backends registered by third parties. *)
 
 val of_registry : unit -> packed list
 (** One stamp tracker per backend in {!Vstamp_core.Backend.entries}
@@ -100,7 +57,7 @@ val of_registry : unit -> packed list
     others are named ["stamps-<key>"]. *)
 
 val stamp_tracker_name : string -> string
-(** The tracker name for a registry key (["stamps"] /
+(** The tracker name for a backend key (["stamps"] /
     ["stamps-<key>"]). *)
 
 val histories : packed

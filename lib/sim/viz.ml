@@ -79,7 +79,7 @@ let cell_text = function
 
 (* rows absent from the frontier at a column simply have no cell there,
    so lineages are blank before their birth and after their retirement *)
-let to_string ?stamps ops =
+let render ?stamps ops =
   let canvas, columns = render_ops ?stamps ops in
   let buf = Buffer.create 256 in
   for row = 0 to canvas.rows - 1 do
@@ -102,6 +102,8 @@ let to_string ?stamps ops =
   done;
   Buffer.contents buf
 
+let to_string ops = render ops
+
 let header ops =
   let titles =
     "start" :: List.map Execution.op_to_string ops
@@ -114,7 +116,7 @@ let draw ?with_stamps ops =
     | Some true -> Some (Execution.Run_stamps.run ops)
     | _ -> None
   in
-  to_string ?stamps ops
+  render ?stamps ops
 
 (* Graphviz rendering goes through the causal-trace recorder so the DOT
    view and the [vstamp trace] forensics agree on structure and labels;

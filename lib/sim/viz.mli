@@ -7,14 +7,12 @@
     lineage with its final stamp.  Used by [vstamp draw] and handy when
     staring at a counterexample trace from the property tests. *)
 
-val to_string :
-  ?stamps:Vstamp_core.Stamp.t list -> Vstamp_core.Execution.op list -> string
-(** Render a valid trace; [stamps] (typically the final frontier) adds
-    end-of-row labels and must be frontier-aligned. *)
+val to_string : Vstamp_core.Execution.op list -> string
+(** Render a valid trace. *)
 
 val draw : ?with_stamps:bool -> Vstamp_core.Execution.op list -> string
-(** Convenience: runs the trace over default stamps when
-    [with_stamps = true] and labels rows with the outcome. *)
+(** {!to_string}; with [with_stamps = true], also runs the trace over
+    default stamps and labels each row with its final stamp. *)
 
 val header : Vstamp_core.Execution.op list -> string
 (** The operation names, one per column, for captioning. *)

@@ -112,7 +112,7 @@ let sync_star ?(updates_per_round = 1) ~peers ~rounds () =
 
 (* --- steady-state gossip: fixed frontier, random pairwise syncs --- *)
 
-let gossip ?(seed = 1) ?(p_update = 0.5) ~replicas ~rounds () =
+let gossip ?(seed = 1) ~replicas ~rounds () =
   if replicas < 2 then invalid_arg "Workload.gossip: need at least 2 replicas";
   let labels = ref [ 0 ] and fresh = ref 1 and ops = ref [] in
   for _ = 2 to replicas do
@@ -129,7 +129,7 @@ let gossip ?(seed = 1) ?(p_update = 0.5) ~replicas ~rounds () =
     let size = List.length !labels in
     List.iteri
       (fun pos _ ->
-        let doit, rng' = Rng.below !rng p_update in
+        let doit, rng' = Rng.below !rng 0.5 in
         rng := rng';
         if doit then ops := Execution.Update pos :: !ops)
       !labels;
@@ -147,12 +147,12 @@ let gossip ?(seed = 1) ?(p_update = 0.5) ~replicas ~rounds () =
 
 (* --- churn: random births and deaths around a target frontier size --- *)
 
-let churn ?(seed = 1) ?(p_update = 0.4) ~target ~n_ops () =
+let churn ?(seed = 1) ~target ~n_ops () =
   if target < 2 then invalid_arg "Workload.churn: target must be >= 2";
   let rec build rng size k acc =
     if k = 0 then List.rev acc
     else
-      let upd, rng = Rng.below rng p_update in
+      let upd, rng = Rng.below rng 0.4 in
       if upd then
         let i, rng = Rng.int rng size in
         build rng size (k - 1) (Execution.Update i :: acc)
@@ -171,8 +171,7 @@ let churn ?(seed = 1) ?(p_update = 0.4) ~target ~n_ops () =
 
 (* --- partitioned operation with periodic heals --- *)
 
-let partitioned ?(seed = 1) ?(p_update = 0.5) ~replicas ~groups ~phases
-    ~syncs_per_phase () =
+let partitioned ?(seed = 1) ~replicas ~groups ~phases ~syncs_per_phase () =
   if groups < 1 then invalid_arg "Workload.partitioned: groups must be >= 1";
   if replicas < 2 * groups then
     invalid_arg "Workload.partitioned: need at least 2 replicas per group";
@@ -196,7 +195,7 @@ let partitioned ?(seed = 1) ?(p_update = 0.5) ~replicas ~groups ~phases
       (* random updates *)
       List.iteri
         (fun pos _ ->
-          let doit, rng' = Rng.below !rng p_update in
+          let doit, rng' = Rng.below !rng 0.5 in
           rng := rng';
           if doit then ops := Execution.Update pos :: !ops)
         !labels;

@@ -7,9 +7,6 @@
 
 type weights = { update : int; fork : int; join : int }
 
-val default_weights : weights
-(** [3 / 2 / 2]. *)
-
 val uniform :
   ?seed:int ->
   ?weights:weights ->
@@ -18,7 +15,8 @@ val uniform :
   unit ->
   Vstamp_core.Execution.op list
 (** Independent weighted draws; the frontier stays within
-    [1, max_frontier] (default 16). *)
+    [1, max_frontier] (default 16).  [weights] defaults to
+    update 3 / fork 2 / join 2. *)
 
 val deep_fork :
   ?update_between:bool -> depth:int -> unit -> Vstamp_core.Execution.op list
@@ -39,28 +37,25 @@ val sync_star :
 
 val gossip :
   ?seed:int ->
-  ?p_update:float ->
   replicas:int ->
   rounds:int ->
   unit ->
   Vstamp_core.Execution.op list
 (** Fixed frontier of [replicas]; each round every replica updates with
-    probability [p_update] and one random pair syncs. *)
+    probability 0.5 and one random pair syncs. *)
 
 val churn :
   ?seed:int ->
-  ?p_update:float ->
   target:int ->
   n_ops:int ->
   unit ->
   Vstamp_core.Execution.op list
 (** Constant replica creation and retirement pressure around a [target]
     frontier size — the dynamic setting version stamps are designed
-    for. *)
+    for.  Each op is an update with probability 0.4. *)
 
 val partitioned :
   ?seed:int ->
-  ?p_update:float ->
   replicas:int ->
   groups:int ->
   phases:int ->
@@ -69,7 +64,8 @@ val partitioned :
   Vstamp_core.Execution.op list
 (** Alternating partition and heal phases: during odd phases only
     replicas whose label falls in the same of [groups] groups may sync;
-    even phases allow any pair.  Models the paper's mobile scenario.
+    even phases allow any pair; before each sync every replica updates
+    with probability 0.5.  Models the paper's mobile scenario.
     @raise Invalid_argument unless [replicas >= 2 * groups]. *)
 
 val all_named : n_ops:int -> (string * Vstamp_core.Execution.op list) list

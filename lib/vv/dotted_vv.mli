@@ -19,8 +19,6 @@
 type dot = { replica : Version_vector.id; counter : int }
 (** Identity of one write event. *)
 
-val pp_dot : Format.formatter -> dot -> unit
-
 val dot_compare : dot -> dot -> int
 
 type 'a t

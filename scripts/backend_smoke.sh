@@ -1,10 +1,10 @@
 #!/bin/sh
-# Backend smoke: every registered name backend must drive a simulation
-# end to end, produce deterministic telemetry, and the CLI must reject
+# Backend smoke: every keyed name backend must drive a simulation end
+# to end, produce deterministic telemetry, and the CLI must reject
 # unknown keys with the valid set.  The set of backends is discovered
-# from the CLI's own error message, so a newly registered backend is
-# picked up without editing this script.  The unregistered list
-# specification runs through its own tracker, stamps-list.  Wired to
+# from the CLI's own error message, so a backend added to the table is
+# picked up without editing this script.  The list specification, which
+# has no key, runs through its own tracker, stamps-list.  Wired to
 # the @backend-smoke dune alias (see the root dune file); not part of
 # @runtest.
 set -eu
@@ -13,14 +13,14 @@ VSTAMP="$1"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-# unknown keys must fail, and the failure lists the registry
+# unknown keys must fail, and the failure lists the keys
 if "$VSTAMP" simulate --backend __none__ -n 10 >/dev/null 2>"$tmpdir/err"; then
   echo "backend smoke: unknown backend was accepted" >&2
   exit 1
 fi
 keys=$(sed -n 's/.*valid: \(.*\)).*/\1/p' "$tmpdir/err" | tr -d ',')
 if [ -z "$keys" ]; then
-  echo "backend smoke: could not discover registered backends" >&2
+  echo "backend smoke: could not discover the keyed backends" >&2
   cat "$tmpdir/err" >&2
   exit 1
 fi

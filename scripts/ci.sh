@@ -48,7 +48,7 @@ dune build @trace-smoke --force
 echo "== bench smoke (quick bench -> regression gate pass/fail/refuse) =="
 dune build @bench-smoke --force
 
-echo "== backend smoke (every registered backend end to end) =="
+echo "== backend smoke (every keyed backend end to end) =="
 dune build @backend-smoke --force
 
 echo "== serve smoke (soak server, live scrapes, graceful shutdown) =="
@@ -154,6 +154,11 @@ dune exec bin/vstamp_cli.exe -- simulate -t stamps -w churn -n 100 \
 dune exec bin/vstamp_cli.exe -- simulate -t stamps -w churn -n 100 \
   --metrics-out "$tmpdir/b.jsonl" >/dev/null
 cmp "$tmpdir/a.jsonl" "$tmpdir/b.jsonl"
+
+echo "== unused exports =="
+# Every value an interface under lib/ exports must have a caller in
+# another module (tests count); the script lists each one that has none.
+sh scripts/unused_exports.sh
 
 echo "== code size =="
 # ROADMAP item 4 counts progress as net lines removed with behaviour

@@ -1,7 +1,7 @@
-(* The backend registry: the in-tree set, lookup behaviour, duplicate
-   rejection, and that registered implementations (and the unregistered
-   list specification) agree through the Backend.S seam (first-class
-   module access, as the CLI uses it). *)
+(* The backend table: the keyed set, lookup behaviour, and that the keyed
+   implementations (and the list specification, which has no key) agree
+   through the Backend.S seam (first-class module access, as the CLI uses
+   it). *)
 
 open Vstamp_core
 
@@ -11,21 +11,17 @@ let test_keys () =
   let keys = Backend.keys () in
   List.iter
     (fun k ->
-      check_bool (k ^ " registered") true (List.mem k keys))
+      check_bool (k ^ " keyed") true (List.mem k keys))
     [ "tree"; "packed" ];
-  check_bool "list spec not registered" false (List.mem "list" keys);
+  check_bool "list spec has no key" false (List.mem "list" keys);
   Alcotest.(check (list string)) "sorted" (List.sort compare keys) keys;
-  check_bool "default key registered" true
+  check_bool "default key in the table" true
     (List.mem Backend.default_key keys)
 
 let test_find () =
   check_bool "find tree" true (Option.is_some (Backend.find "tree"));
   check_bool "find packed" true (Option.is_some (Backend.find "packed"));
-  check_bool "find unknown" true (Option.is_none (Backend.find "bogus"));
-  check_bool "find_entry doc non-empty" true
-    (match Backend.find_entry "packed" with
-    | Some e -> String.length e.Backend.doc > 0 && e.Backend.key = "packed"
-    | None -> false)
+  check_bool "find unknown" true (Option.is_none (Backend.find "bogus"))
 
 let test_get_unknown_raises () =
   match Backend.get "bogus" with
@@ -44,27 +40,8 @@ let test_get_unknown_raises () =
                has 0)
              [ "bogus"; "tree" ])
 
-let test_duplicate_register_raises () =
-  match
-    Backend.register ~key:"tree" ~doc:"dup" (module Backend.Over_tree)
-  with
-  | () -> Alcotest.fail "duplicate key should raise"
-  | exception Invalid_argument _ -> ()
-
-let test_register_of_name () =
-  (* a fresh backend built from Of_name is reachable like the in-tree
-     ones; use a throwaway key so reruns in one process stay safe *)
-  let key = "test-list-alias" in
-  (match Backend.find key with
-  | Some _ -> ()
-  | None ->
-      let module B = Backend.Of_name (Name) in
-      Backend.register ~key ~doc:"list spec under a test alias" (module B));
-  check_bool "alias reachable" true (Option.is_some (Backend.find key));
-  check_bool "alias listed" true (List.mem key (Backend.keys ()))
-
 let test_first_class_use () =
-  (* drive every registered backend, and the list specification, through
+  (* drive every keyed backend, and the list specification, through
      the seam exactly the way the CLI and smoke tooling do *)
   List.iter
     (fun (key, impl) ->
@@ -79,7 +56,7 @@ let test_first_class_use () =
 
 let test_default_is_tree () =
   Alcotest.(check string) "default key" "tree" Backend.default_key;
-  let module D = (val Backend.default) in
+  let module D = (val Backend.get Backend.default_key) in
   let module T = (val Backend.get "tree") in
   check_bool "default seed equals tree seed"
     true
@@ -95,9 +72,6 @@ let () =
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "get unknown raises" `Quick
             test_get_unknown_raises;
-          Alcotest.test_case "duplicate register raises" `Quick
-            test_duplicate_register_raises;
-          Alcotest.test_case "register Of_name" `Quick test_register_of_name;
         ] );
       ( "seam",
         [

@@ -324,7 +324,7 @@ module Wire_ref (B : Backend.S) = struct
         else Error (Wire.Malformed "update component not dominated by id (I1)")
 end
 
-(* One property pair per registered backend: along random traces run in
+(* One property pair per keyed backend: along random traces run in
    that backend, the codec writes the reference's bytes and decodes them
    back to the stamp; on random bytes both decoders give the same
    result. *)
@@ -368,9 +368,9 @@ let props_match_reference (e : Backend.entry) =
              (R.name_of_string input));
   ]
 
-(* every registered backend, and the unregistered list specification *)
+(* every keyed backend, and the list specification, which has no key *)
 let checked_entries =
-  { Backend.key = "list"; doc = ""; impl = (module Backend.Over_list) }
+  { Backend.key = "list"; impl = (module Backend.Over_list) }
   :: Backend.entries ()
 
 (* --- Wire: the decoder's depth cap --- *)

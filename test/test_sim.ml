@@ -216,7 +216,25 @@ let test_tracker_names () =
   let names = List.map Tracker.name Tracker.all in
   check_bool "distinct names" true
     (List.length names = List.length (List.sort_uniq compare names));
-  check_bool "stamps present" true (List.mem "stamps" names)
+  check_bool "stamps present" true (List.mem "stamps" names);
+  Alcotest.(check (list string))
+    "sweep order"
+    [
+      "stamps";
+      "stamps-noreduce";
+      "stamps-list";
+      "stamps-packed";
+      "causal-histories";
+      "version-vectors";
+      "dynamic-vv";
+      "plausible-4";
+      "plausible-8";
+    ]
+    names;
+  Alcotest.(check (list string))
+    "one tracker per keyed backend"
+    (List.map Tracker.stamp_tracker_name (Backend.keys ()))
+    (List.map Tracker.name (Tracker.of_registry ()))
 
 (* stamps_nonreducing is deliberately absent: without Section 6
    reduction id widths compound across syncs (each join sums them, each
@@ -226,6 +244,7 @@ let exact_trackers =
   [
     Tracker.stamps;
     Tracker.stamps_list;
+    Tracker.stamps_packed;
     Tracker.version_vectors;
     Tracker.dynamic_vv;
     Tracker.histories;
