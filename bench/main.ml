@@ -45,9 +45,22 @@ let parse_argv () =
   go (List.tl (Array.to_list Sys.argv));
   { quick = !quick; out = !out; history = !history }
 
-(* Every knob that changes what the numbers mean lives here and is
-   dumped into the JSON's "config" block, so the regression gate can
-   refuse to compare apples to oranges (see Vstamp_obs.Bench_store). *)
+(* Every knob that changes what the numbers mean is dumped into the
+   JSON's "config" block, so the regression gate can refuse to compare
+   apples to oranges (see Vstamp_obs.Bench_store).  The knobs --quick
+   changes are [bench_config]'s fields; the rest are constants. *)
+let e11_every_n = 100
+
+let e14_replicas = 4
+
+let e14_severities = [ 0.2; 0.5; 1.0 ]
+
+let e17_replicas = 4
+
+let e18_nodes = 3
+
+let e18_round_budget = 16
+
 type bench_config = {
   quick : bool;
   e1_scales : int list;
@@ -56,23 +69,15 @@ type bench_config = {
   e11_uniform_ops : int;
   e11_deep_fork_depth : int;
   e11_churn_ops : int;
-  e11_every_n : int;
-  e11_best_of : int;
-  e14_replicas : int;
+  best_of : int;  (* timed runs per lane in E11, E15 and E16 *)
   e14_rounds : int;
-  e14_severities : float list;
   e15_series : int;
   e15_ticks : int;
-  e15_best_of : int;
   e16_spans : int;
-  e16_best_of : int;
-  e17_replicas : int;
   e17_rounds : int;
   e17_rates : float list;
-  e18_nodes : int;
   e18_keys : int;
   e18_value_bytes : int;
-  e18_round_budget : int;
 }
 
 let bench_config ~quick =
@@ -85,23 +90,15 @@ let bench_config ~quick =
       e11_uniform_ops = 100;
       e11_deep_fork_depth = 40;
       e11_churn_ops = 60;
-      e11_every_n = 100;
-      e11_best_of = 1;
-      e14_replicas = 4;
+      best_of = 1;
       e14_rounds = 8;
-      e14_severities = [ 0.2; 0.5; 1.0 ];
       e15_series = 64;
       e15_ticks = 200;
-      e15_best_of = 1;
       e16_spans = 2000;
-      e16_best_of = 1;
-      e17_replicas = 4;
       e17_rounds = 10;
       e17_rates = [ 0.5; 1.0; 2.0 ];
-      e18_nodes = 3;
       e18_keys = 8;
       e18_value_bytes = 160;
-      e18_round_budget = 16;
     }
   else
     {
@@ -112,23 +109,15 @@ let bench_config ~quick =
       e11_uniform_ops = 400;
       e11_deep_fork_depth = 100;
       e11_churn_ops = 200;
-      e11_every_n = 100;
-      e11_best_of = 3;
-      e14_replicas = 4;
+      best_of = 3;
       e14_rounds = 20;
-      e14_severities = [ 0.2; 0.5; 1.0 ];
       e15_series = 256;
       e15_ticks = 2000;
-      e15_best_of = 3;
       e16_spans = 20000;
-      e16_best_of = 3;
-      e17_replicas = 4;
       e17_rounds = 24;
       e17_rates = [ 0.5; 1.0; 2.0; 4.0 ];
-      e18_nodes = 3;
       e18_keys = 24;
       e18_value_bytes = 128;
-      e18_round_budget = 16;
     }
 
 let config_json c =
@@ -142,25 +131,25 @@ let config_json c =
       ("e11_uniform_ops", Jsonx.Int c.e11_uniform_ops);
       ("e11_deep_fork_depth", Jsonx.Int c.e11_deep_fork_depth);
       ("e11_churn_ops", Jsonx.Int c.e11_churn_ops);
-      ("e11_every_n", Jsonx.Int c.e11_every_n);
-      ("e11_best_of", Jsonx.Int c.e11_best_of);
-      ("e14_replicas", Jsonx.Int c.e14_replicas);
+      ("e11_every_n", Jsonx.Int e11_every_n);
+      ("e11_best_of", Jsonx.Int c.best_of);
+      ("e14_replicas", Jsonx.Int e14_replicas);
       ("e14_rounds", Jsonx.Int c.e14_rounds);
       ( "e14_severities",
-        Jsonx.List (List.map (fun s -> Jsonx.Float s) c.e14_severities) );
+        Jsonx.List (List.map (fun s -> Jsonx.Float s) e14_severities) );
       ("e15_series", Jsonx.Int c.e15_series);
       ("e15_ticks", Jsonx.Int c.e15_ticks);
-      ("e15_best_of", Jsonx.Int c.e15_best_of);
+      ("e15_best_of", Jsonx.Int c.best_of);
       ("e16_spans", Jsonx.Int c.e16_spans);
-      ("e16_best_of", Jsonx.Int c.e16_best_of);
-      ("e17_replicas", Jsonx.Int c.e17_replicas);
+      ("e16_best_of", Jsonx.Int c.best_of);
+      ("e17_replicas", Jsonx.Int e17_replicas);
       ("e17_rounds", Jsonx.Int c.e17_rounds);
       ( "e17_rates",
         Jsonx.List (List.map (fun r -> Jsonx.Float r) c.e17_rates) );
-      ("e18_nodes", Jsonx.Int c.e18_nodes);
+      ("e18_nodes", Jsonx.Int e18_nodes);
       ("e18_keys", Jsonx.Int c.e18_keys);
       ("e18_value_bytes", Jsonx.Int c.e18_value_bytes);
-      ("e18_round_budget", Jsonx.Int c.e18_round_budget);
+      ("e18_round_budget", Jsonx.Int e18_round_budget);
       ( "backends",
         Jsonx.List
           (List.map (fun k -> Jsonx.String k) (Vstamp_core.Backend.keys ())) );
@@ -168,6 +157,19 @@ let config_json c =
 
 let section title =
   Format.printf "@.%s@.%s@.@." title (String.make (String.length title) '=')
+
+(* Wall-clock seconds of the fastest of [cfg.best_of] runs of [f], so a
+   stray scheduler hiccup cannot dominate a lane. *)
+let best_of ~cfg f =
+  let rec go k best =
+    if k = 0 then best
+    else begin
+      let t0 = Unix.gettimeofday () in
+      f ();
+      go (k - 1) (min best (Unix.gettimeofday () -. t0))
+    end
+  in
+  go (max 1 cfg.best_of) infinity
 
 let table = Stats.pp_table Format.std_formatter
 
@@ -880,23 +882,11 @@ let e2b () =
 (* Wall-clock throughput of the same run plain, with the I1-I3 runtime
    monitors evaluating the whole frontier after every step, with the
    same monitors sampled 1-in-N, and with the causal-trace recorder
-   labelling every state.  Best of [cfg.e11_best_of] runs so a stray
-   scheduler hiccup cannot dominate. *)
+   labelling every state.  Best of [cfg.best_of] runs. *)
 let e11 ~cfg () =
   section
     "E11: observability overhead (ops/s: plain, full monitors, sampled, \
      +recording)";
-  let best_of f =
-    let rec go k best =
-      if k = 0 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        f ();
-        go (k - 1) (min best (Unix.gettimeofday () -. t0))
-      end
-    in
-    go (max 1 cfg.e11_best_of) infinity
-  in
   (* effective coverage read back from the gauge of a separate untimed
      run with a private registry, so the gauge bookkeeping never sits
      inside the timed lane *)
@@ -924,7 +914,7 @@ let e11 ~cfg () =
       ("churn", Workload.churn ~seed:7 ~target:8 ~n_ops:cfg.e11_churn_ops ());
     ]
   in
-  let sampling = Vstamp_obs.Monitor.Every_n cfg.e11_every_n in
+  let sampling = Vstamp_obs.Monitor.Every_n e11_every_n in
   let rows, payload =
     List.split
       (List.map
@@ -936,7 +926,7 @@ let e11 ~cfg () =
                   ?trace Tracker.stamps ops
                  : System.result)
            in
-           let throughput f = float_of_int n /. best_of f in
+           let throughput f = float_of_int n /. best_of ~cfg f in
            let plain = throughput (fun () -> run ()) in
            (* same workload over the hash-consed backend, unmonitored:
               how much of the monitorable budget the representation
@@ -980,7 +970,7 @@ let e11 ~cfg () =
                      Vstamp_obs.Jsonx.Float (plain /. monitored) );
                    ("sampled_slowdown", Vstamp_obs.Jsonx.Float (plain /. sampled));
                    ("sampled_coverage", Vstamp_obs.Jsonx.Float coverage);
-                   ("every_n", Vstamp_obs.Jsonx.Int cfg.e11_every_n);
+                   ("every_n", Vstamp_obs.Jsonx.Int e11_every_n);
                  ] ) ))
          workloads)
   in
@@ -992,7 +982,7 @@ let e11 ~cfg () =
         "plain ops/s";
         "packed";
         "full mon";
-        Printf.sprintf "1-in-%d" cfg.e11_every_n;
+        Printf.sprintf "1-in-%d" e11_every_n;
         "+recording";
         "full cost";
         "sampled cost";
@@ -1005,7 +995,7 @@ let e11 ~cfg () =
   let n = List.length churn in
   let plain =
     float_of_int n
-    /. best_of (fun () ->
+    /. best_of ~cfg (fun () ->
            ignore
              (System.run ~with_oracle:false Tracker.stamps churn
                : System.result))
@@ -1017,7 +1007,7 @@ let e11 ~cfg () =
         let sampling = Vstamp_obs.Monitor.Every_n every_n in
         let sampled =
           float_of_int n
-          /. best_of (fun () ->
+          /. best_of ~cfg (fun () ->
                  ignore
                    (System.run ~with_oracle:false ~check_invariants:true
                       ~sampling Tracker.stamps churn
@@ -1179,7 +1169,7 @@ let e14 ~cfg () =
           (fun tracker ->
             let lag_cfg =
               {
-                Lag.replicas = cfg.e14_replicas;
+                Lag.replicas = e14_replicas;
                 rounds = cfg.e14_rounds;
                 p_update = 0.5;
                 syncs_per_round = 2;
@@ -1191,7 +1181,7 @@ let e14 ~cfg () =
             in
             (severity, Tracker.name tracker, Lag.run lag_cfg tracker))
           e14_trackers)
-      cfg.e14_severities
+      e14_severities
   in
   table
     ~header:
@@ -1257,7 +1247,7 @@ let e14 ~cfg () =
 (* E15: the flight recorder's duty cycle.  One recorder tick is a GC
    sample, an alert-engine evaluation and a Tsdb snapshot of a
    soak-shaped registry; the soak driver runs one per --record-every.
-   Reported as ns/tick (best of [cfg.e15_best_of] batches of
+   Reported as ns/tick (best of [cfg.best_of] batches of
    [cfg.e15_ticks]) and as the percentage of a 1 s and a 100 ms cadence
    that cost represents, plus the recorder's fixed ring footprint. *)
 let e15 ~cfg () =
@@ -1309,17 +1299,10 @@ let e15 ~cfg () =
   (* first tick registers every series in the recorder *)
   tick ();
   let best =
-    let rec go k best =
-      if k = 0 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
+    best_of ~cfg (fun () ->
         for _ = 1 to cfg.e15_ticks do
           tick ()
-        done;
-        go (k - 1) (min best (Unix.gettimeofday () -. t0))
-      end
-    in
-    go (max 1 cfg.e15_best_of) infinity
+        done)
   in
   let tick_ns = best /. float_of_int cfg.e15_ticks *. 1e9 in
   let pct_of cadence_s = 100.0 *. tick_ns /. (cadence_s *. 1e9) in
@@ -1362,19 +1345,8 @@ let e16 ~cfg () =
   section "E16: trace propagation overhead (span cost, wire bytes)";
   let open Vstamp_obs in
   let n = cfg.e16_spans in
-  let best_of f =
-    let rec go k best =
-      if k = 0 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        f ();
-        go (k - 1) (min best (Unix.gettimeofday () -. t0))
-      end
-    in
-    go (max 1 cfg.e16_best_of) infinity
-  in
   let spans body =
-    best_of (fun () ->
+    best_of ~cfg (fun () ->
         for i = 1 to n do
           Trace_ctx.with_span "bench.span"
             ~attrs:[ ("i", Jsonx.Int i) ]
@@ -1391,7 +1363,7 @@ let e16 ~cfg () =
   in
   let attached_s = spans (fun () -> ()) in
   let remote_s =
-    best_of (fun () ->
+    best_of ~cfg (fun () ->
         for _ = 1 to n do
           Trace_ctx.with_remote_span ~header "bench.apply" (fun () -> ())
         done)
@@ -1452,9 +1424,9 @@ let e17 ~cfg () =
       (fun rate ->
         let ch_cfg =
           {
-            Churn.replicas = cfg.e17_replicas;
+            Churn.replicas = e17_replicas;
             min_replicas = 2;
-            max_replicas = 4 * cfg.e17_replicas;
+            max_replicas = 4 * e17_replicas;
             rounds = cfg.e17_rounds;
             p_update = 0.5;
             syncs_per_round = 2;
@@ -1566,7 +1538,7 @@ let e18 ~cfg () =
      cluster is a full mesh over ephemeral loopback ports. *)
   let nodes =
     let rec go i acc =
-      if i >= cfg.e18_nodes then List.rev acc
+      if i >= e18_nodes then List.rev acc
       else
         let registry = Vstamp_obs.Registry.create () in
         let peers = List.map (fun (_, _, n) -> ("127.0.0.1", N.port n)) acc in
@@ -1595,7 +1567,7 @@ let e18 ~cfg () =
       in
       let rounds = ref 0 in
       let t0 = Unix.gettimeofday () in
-      while (not (converged ())) && !rounds < cfg.e18_round_budget do
+      while (not (converged ())) && !rounds < e18_round_budget do
         incr rounds;
         List.iter (fun (_, _, n) -> ignore (N.sync_now n)) nodes
       done;
@@ -1654,7 +1626,7 @@ let e18 ~cfg () =
       let open Vstamp_obs in
       Jsonx.Obj
         [
-          ("nodes", Jsonx.Int cfg.e18_nodes);
+          ("nodes", Jsonx.Int e18_nodes);
           ("keys_per_node", Jsonx.Int cfg.e18_keys);
           ("value_bytes", Jsonx.Int cfg.e18_value_bytes);
           ("converged", Jsonx.Bool (converged ()));

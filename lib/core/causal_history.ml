@@ -16,13 +16,9 @@ let union = Event_set.union
 
 let cardinal = Event_set.cardinal
 
-let mem = Event_set.mem
-
 let subset = Event_set.subset
 
 let equal = Event_set.equal
-
-let compare = Event_set.compare
 
 let subset_of_union x hs =
   let combined = List.fold_left union empty hs in
@@ -37,8 +33,6 @@ let pp ppf h =
        ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
        Format.pp_print_int)
     (events h)
-
-let to_string h = Format.asprintf "%a" pp h
 
 (* The "global view": a monotone counter handing out globally unique
    update-event identities.  Threaded explicitly so executions are pure

@@ -38,15 +38,10 @@ val union : t -> t -> t
 
 val cardinal : t -> int
 
-val mem : event -> t -> bool
-
 val subset : t -> t -> bool
 (** History inclusion — the pre-order on frontier elements. *)
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Total order for containers. *)
 
 val subset_of_union : t -> t list -> bool
 (** [subset_of_union x hs] iff [x]'s history is contained in the union of
@@ -56,8 +51,6 @@ val relation : t -> t -> Relation.t
 (** Equivalent / obsolete / inconsistent, per Section 2. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
 
 (** Fresh-event generator: the explicit "global view". *)
 module Gen : sig

@@ -24,11 +24,7 @@ let of_list bindings =
     Smap.empty bindings
   |> fun elems -> { elems }
 
-let to_list c = Smap.bindings c.elems
-
 let names c = List.map fst (Smap.bindings c.elems)
-
-let find c name = Smap.find_opt name c.elems
 
 let get c name = find_or_raise c.elems name
 

@@ -27,12 +27,7 @@ val initial : string -> t
 val of_list : (string * Stamp.t) list -> t
 (** Explicit configuration.  @raise Clash on duplicate names. *)
 
-val to_list : t -> (string * Stamp.t) list
-(** Sorted by name. *)
-
 val names : t -> string list
-
-val find : t -> string -> Stamp.t option
 
 val get : t -> string -> Stamp.t
 (** @raise Unknown_element *)

@@ -4,13 +4,9 @@ type t = Stamp.t list
 
 let of_list = Fun.id
 
-let to_list = Fun.id
-
 let initial = [ Stamp.seed ]
 
 let size = List.length
-
-let nth = List.nth
 
 let classify frontier x =
   List.filter_map
@@ -72,10 +68,3 @@ let prune frontier =
 let merge_all = function
   | [] -> invalid_arg "Frontier.merge_all: empty frontier"
   | x :: rest -> List.fold_left (fun acc s -> Stamp.join acc s) x rest
-
-let pp ppf frontier =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Stamp.pp)
-    frontier

@@ -15,14 +15,10 @@ type t
 
 val of_list : Stamp.t list -> t
 
-val to_list : t -> Stamp.t list
-
 val initial : t
 (** The single seed replica. *)
 
 val size : t -> int
-
-val nth : t -> int -> Stamp.t
 
 val classify : t -> Stamp.t -> Relation.t list
 (** Relations of one member against every other member (physical
@@ -54,5 +50,3 @@ val prune : t -> t
 val merge_all : t -> Stamp.t
 (** Collapse the whole frontier into one replica.
     @raise Invalid_argument on an empty frontier. *)
-
-val pp : Format.formatter -> t -> unit

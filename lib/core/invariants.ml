@@ -3,13 +3,6 @@
    runtime monitors report it uniformly for both name representations. *)
 type violation = I1 of int | I2 of int * int | I3 of int * int
 
-let pp_violation ppf = function
-  | I1 i -> Format.fprintf ppf "I1 violated at frontier position %d" i
-  | I2 (i, j) ->
-      Format.fprintf ppf "I2 violated between positions %d and %d" i j
-  | I3 (i, j) ->
-      Format.fprintf ppf "I3 violated from position %d towards %d" i j
-
 let violation_to_string = function
   | I1 i -> Printf.sprintf "I1(%d)" i
   | I2 (i, j) -> Printf.sprintf "I2(%d,%d)" i j

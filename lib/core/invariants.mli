@@ -26,8 +26,6 @@ type violation =
     only mentions frontier positions), so monitors can report violations
     uniformly whichever name representation backs the stamps. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val violation_to_string : violation -> string
 (** Compact machine-friendly form: ["I1(3)"], ["I2(0,2)"], ["I3(1,0)"]. *)
 

@@ -38,10 +38,6 @@ module Id = struct
     | One, _ | _, One -> false
     | Branch (l1, r1), Branch (l2, r2) -> disjoint l1 l2 && disjoint r1 r2
 
-  let rec node_count = function
-    | Zero | One -> 1
-    | Branch (l, r) -> 1 + node_count l + node_count r
-
   let rec pp ppf = function
     | Zero -> Format.pp_print_char ppf '0'
     | One -> Format.pp_print_char ppf '1'
@@ -52,8 +48,6 @@ module Event = struct
   type t = Leaf of int | Node of int * t * t
 
   let zero = Leaf 0
-
-  let value = function Leaf n -> n | Node (n, _, _) -> n
 
   let lift m = function
     | Leaf n -> Leaf (n + m)
@@ -116,10 +110,6 @@ module Event = struct
             (Node (n1, join l1 (lift (n2 - n1) l2), join r1 (lift (n2 - n1) r2)))
 
   let equal a b = norm a = norm b
-
-  let rec node_count = function
-    | Leaf _ -> 1
-    | Node (_, l, r) -> 1 + node_count l + node_count r
 
   let rec pp ppf = function
     | Leaf n -> Format.pp_print_int ppf n

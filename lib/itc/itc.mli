@@ -33,19 +33,12 @@ module Id : sig
 
   val disjoint : t -> t -> bool
 
-  val node_count : t -> int
-
   val pp : Format.formatter -> t -> unit
 end
 
 (** Event trees: per-region update counters. *)
 module Event : sig
   type t = Leaf of int | Node of int * t * t
-
-  val zero : t
-
-  val value : t -> int
-  (** Root counter. *)
 
   val min_value : t -> int
 
@@ -67,8 +60,6 @@ module Event : sig
 
   val equal : t -> t -> bool
   (** Equality of normal forms. *)
-
-  val node_count : t -> int
 
   val pp : Format.formatter -> t -> unit
 end

@@ -49,8 +49,6 @@ type t = { id : Version_vector.id; entries : string Dotted_vv.t Smap.t }
 
 let create ~id = { id; entries = Smap.empty }
 
-let id node = node.id
-
 let entry node key =
   match Smap.find_opt key node.entries with
   | Some e -> e

@@ -19,8 +19,6 @@ type t
 val create : id:Vstamp_vv.Version_vector.id -> t
 (** A server with a unique, externally assigned id. *)
 
-val id : t -> Vstamp_vv.Version_vector.id
-
 val entry : t -> string -> string Vstamp_vv.Dotted_vv.t
 (** The tracked state of one key (empty entry for unknown keys). *)
 

@@ -61,15 +61,6 @@ module Ctx = struct
       }
 
   let of_dot d = add empty d
-
-  let size_bits c =
-    Version_vector.size_bits c.vv
-    + Dot_set.fold
-        (fun (d : Dotted_vv.dot) acc ->
-          acc
-          + Version_vector.bits_for d.replica
-          + Version_vector.bits_for d.counter)
-        c.cloud 0
 end
 
 type 'a t = {
@@ -85,8 +76,6 @@ type 'a t = {
    context. *)
 
 let create ~id = { replica = id; entries = Dot_map.empty; ctx = Ctx.empty }
-
-let replica s = s.replica
 
 let elements s =
   Dot_map.fold (fun _ v acc -> v :: acc) s.entries []
@@ -142,19 +131,3 @@ let remove_delta s v =
 let apply_delta s delta = { (merge s delta) with replica = s.replica }
 
 let well_formed s = Dot_map.for_all (fun d _ -> Ctx.covers s.ctx d) s.entries
-
-let size_bits s =
-  Ctx.size_bits s.ctx
-  + Dot_map.fold
-      (fun (d : Dotted_vv.dot) _ acc ->
-        acc
-        + Version_vector.bits_for d.replica
-        + Version_vector.bits_for d.counter)
-      s.entries 0
-
-let pp pp_elt ppf s =
-  Format.fprintf ppf "{%a}%a"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_elt)
-    (elements s) Version_vector.pp s.ctx.Ctx.vv

@@ -22,8 +22,6 @@ type 'a t
 val create : id:Vstamp_vv.Version_vector.id -> 'a t
 (** An empty set replica with a unique id. *)
 
-val replica : 'a t -> Vstamp_vv.Version_vector.id
-
 val elements : 'a t -> 'a list
 (** Distinct elements, sorted. *)
 
@@ -68,9 +66,3 @@ val apply_delta : 'a t -> 'a t -> 'a t
 
 val well_formed : 'a t -> bool
 (** Every live dot is covered by the context. *)
-
-val size_bits : 'a t -> int
-(** Metadata size (context plus instance dots). *)
-
-val pp :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

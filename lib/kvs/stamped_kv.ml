@@ -55,8 +55,6 @@ module Make (S : Stamp.S) = struct
 
   let digest t = t.digest
 
-  let mem t key = Smap.mem key t.map
-
   let find t key = Option.map (fun e -> e.reg) (Smap.find_opt key t.map)
 
   let get t key = match find t key with None -> [] | Some r -> R.read r
@@ -92,24 +90,6 @@ module Make (S : Stamp.S) = struct
       (match find t key with
       | Some r -> R.write r value
       | None -> R.create value)
-
-  let remove t key =
-    match Smap.find_opt key t.map with
-    | None -> t
-    | Some old ->
-        {
-          map = Smap.remove key t.map;
-          count = t.count - 1;
-          digest = (t.digest - old.fp) land mask;
-        }
-
-  let resolve t ~key ~value =
-    match find t key with
-    | None -> put t ~key value
-    | Some r -> set t key (R.resolve r ~value)
-
-  let conflict t key =
-    match find t key with Some r -> R.is_conflicted r | None -> false
 
   let value_bytes r =
     List.fold_left (fun acc v -> acc + String.length v) 0 (R.read r)
@@ -273,16 +253,6 @@ module Make (S : Stamp.S) = struct
             List.sort compare (R.read ra) = List.sort compare (R.read rb)
         | _ -> false)
       (List.sort_uniq String.compare (keys a @ keys b))
-
-  let size_bits t =
-    Smap.fold (fun _ e acc -> acc + S.size_bits (R.stamp e.reg)) t.map 0
-
-  let pp ppf t =
-    Format.pp_print_list
-      ~pp_sep:Format.pp_print_space
-      (fun ppf (key, e) ->
-        Format.fprintf ppf "%s=%a" key (R.pp Format.pp_print_string) e.reg)
-      ppf (Smap.bindings t.map)
 end
 
 module Over_tree = Make (Stamp.Over_tree)

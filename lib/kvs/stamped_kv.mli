@@ -9,13 +9,12 @@
 
     Caveats that follow from the model: keys created independently on
     two replicas share no causal context, so their first sync reports a
-    conflict even for equal values; {!remove} is a local forget with
-    no tombstone — a peer that still holds the key re-introduces it on
-    the next sync; and a value one replica has overwritten can come
-    back as a false conflict.  A register keeps one stamp for all its
-    candidates, and a merge of concurrent registers takes the union of
-    their candidates, so it cannot tell that one side had already
-    overwritten a candidate the other still holds.  No write is lost,
+    conflict even for equal values; and a value one replica has
+    overwritten can come back as a false conflict.  A register keeps
+    one stamp for all its candidates, and a merge of concurrent
+    registers takes the union of their candidates, so it cannot tell
+    that one side had already overwritten a candidate the other still
+    holds.  No write is lost,
     but a read can hold a superseded value: after B writes [w1] and C
     writes [w2], C syncs to A and then with B, and A overwrites [w2]
     with [w3], a C↔A sync leaves A reading [[w1; w2; w3]] where the
@@ -46,8 +45,6 @@ module Make (S : Vstamp_core.Stamp.S) : sig
       that leaves a key's candidates as they were keeps its
       fingerprint.  Below 2{^53}, so a float gauge holds it exactly. *)
 
-  val mem : t -> string -> bool
-
   val get : t -> string -> string list
   (** Current candidate values: [[]] for unknown keys, a singleton when
       there is no unresolved conflict. *)
@@ -57,15 +54,6 @@ module Make (S : Vstamp_core.Stamp.S) : sig
 
   val put : t -> key:string -> string -> t
   (** Local write; first write of a key seeds a fresh register. *)
-
-  val remove : t -> string -> t
-  (** Local forget (no tombstone; see the module preamble). *)
-
-  val resolve : t -> key:string -> value:string -> t
-  (** Settle a conflict: the chosen value becomes a new write. *)
-
-  val conflict : t -> string -> bool
-  (** Multiple concurrent candidates currently stored for the key. *)
 
   val sync : t -> t -> t * t
   (** Pairwise anti-entropy over the union of the two replicas' keys;
@@ -133,11 +121,6 @@ module Make (S : Vstamp_core.Stamp.S) : sig
 
   val converged : t -> t -> bool
   (** Same keys, same candidate value sets. *)
-
-  val size_bits : t -> int
-  (** Total causality metadata across all keys. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Live instrumentation}

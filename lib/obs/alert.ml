@@ -260,7 +260,7 @@ let eval_cond t rt ~now_s =
           let result =
             match rt.prev with
             | Some p when now_s > rt.prev_t ->
-                let increase = if v < p then v else v -. p in
+                let increase, _ = Metric.increase ~prev:p v in
                 let rate = increase /. (now_s -. rt.prev_t) in
                 (apply op rate value, Some rate)
             | _ -> (false, None)
@@ -321,8 +321,6 @@ let eval ?now_s t =
               emit_transition t rt ~now_s ~to_firing:false
           | Inactive, false | Firing, true -> ())
         t.rts)
-
-let rules t = List.map (fun rt -> rt.rule) t.rts
 
 let states t = with_lock t (fun () -> List.map (fun rt -> (rt.rule, rt.state)) t.rts)
 

@@ -70,8 +70,6 @@ val eval : ?now_s:float -> t -> unit
 (** One evaluation round.  [now_s] defaults to {!Clock.now_s}; tests
     drive the debounce with an explicit clock. *)
 
-val rules : t -> rule list
-
 val states : t -> (rule * state) list
 
 val firing : t -> rule list

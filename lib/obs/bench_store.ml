@@ -22,8 +22,6 @@ let load ~file =
           | Error m -> Error (Printf.sprintf "%s: %s" file m)
           | Ok run -> Ok run))
 
-let to_json run = run
-
 let schema run =
   match Jsonx.member "schema" run with
   | Some (Jsonx.String s) -> s
@@ -31,6 +29,8 @@ let schema run =
 
 let git_rev run = Option.bind (Jsonx.member "git_rev" run) Jsonx.to_str
 
+(* The [config] block plus the top-level [seed]: everything that must
+   match for two runs to be comparable.  [None] before schema /3. *)
 let config run =
   match Jsonx.member "config" run with
   | None -> None

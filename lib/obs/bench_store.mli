@@ -27,15 +27,9 @@ val of_json : Jsonx.t -> (run, string) result
 
 val load : file:string -> (run, string) result
 
-val to_json : run -> Jsonx.t
-
 val schema : run -> string
 
 val git_rev : run -> string option
-
-val config : run -> Jsonx.t option
-(** The [config] block plus the top-level [seed] — everything that must
-    match for two runs to be comparable.  [None] before schema /3. *)
 
 (** {1 Ledger} *)
 

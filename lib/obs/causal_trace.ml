@@ -155,6 +155,9 @@ let node_of_event e =
   in
   Ok (id, step, kind, parents, replica, label)
 
+(* Strict inverse of [to_events]: an optional [trace.meta] header, then
+   one [trace.node] event per node, ids consecutive from 0, each node
+   re-validated by [add]. *)
 let of_events events =
   let events =
     match events with

@@ -25,8 +25,6 @@ type kind =
 val kind_to_string : kind -> string
 (** ["seed"] / ["update"] / ["fork.l"] / ["fork.r"] / ["join"]. *)
 
-val kind_of_string : string -> kind option
-
 type node = {
   id : int;  (** Stable id: position in allocation order. *)
   step : int;  (** Logical step stamp of the creating operation. *)
@@ -77,13 +75,6 @@ val find_by_label : t -> string -> int option
 (** The {e latest} node carrying the label, if any. *)
 
 (** {1 JSONL form (canonical, round-trips)} *)
-
-val of_events : Event.t list -> (t, string) result
-(** Strict inverse of the event stream {!to_jsonl} writes: one
-    [trace.node] event per node (step-stamped, deterministic), preceded
-    by a [trace.meta] header carrying the node count.  Also accepts a
-    stream without the header.  Node ids must be consecutive from 0 and
-    every structural rule of {!add} is re-validated. *)
 
 val to_jsonl : t -> string
 (** One event per line, trailing newline included. *)

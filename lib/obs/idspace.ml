@@ -292,13 +292,12 @@ type t = {
   mutable seq : int;
   mutable n_seeds : int;
   mutable n_forks : int;
-  mutable n_joins : int;
   mutable n_retires : int;
   mutable n_refreshes : int;
   mutable reclaimed : int;
   mutable forked_bits : int;
   (* publication watermarks: counters are only advanced by growth *)
-  mutable pub : int array;  (* seeds forks joins retires refreshes reclaimed fork_bits *)
+  mutable pub : int array;  (* seeds forks retires refreshes reclaimed fork_bits *)
 }
 
 let create () =
@@ -309,12 +308,11 @@ let create () =
     seq = 0;
     n_seeds = 0;
     n_forks = 0;
-    n_joins = 0;
     n_retires = 0;
     n_refreshes = 0;
     reclaimed = 0;
     forked_bits = 0;
-    pub = Array.make 7 0;
+    pub = Array.make 6 0;
   }
 
 let frag_bits frag = List.fold_left (fun acc s -> acc + String.length s) 0 frag
@@ -360,27 +358,19 @@ let fork ?labels t parent ~left ~right =
   if added > 0 then t.forked_bits <- t.forked_bits + added;
   (l.id, r.id)
 
-(* Consume two live nodes into one child recorded [via] a join or a
-   retirement. *)
-let merge ?label ~via t a b frag =
-  if a = b then invalid_arg "Idspace.join: parents must be distinct";
-  let na = live_node t a in
-  let nb = live_node t b in
+let retire ?label t ~survivor retiree frag =
+  if survivor = retiree then
+    invalid_arg "Idspace.retire: parents must be distinct";
+  let na = live_node t survivor in
+  let nb = live_node t retiree in
   let before = frag_bits na.frag + frag_bits nb.frag in
   na.died <- Some (tick t);
   nb.died <- Some (tick t);
-  let n = add_node t ?label ~via ~parents:[ a; b ] frag in
-  (match via with
-  | Retire -> t.n_retires <- t.n_retires + 1
-  | _ -> t.n_joins <- t.n_joins + 1);
+  let n = add_node t ?label ~via:Retire ~parents:[ survivor; retiree ] frag in
+  t.n_retires <- t.n_retires + 1;
   let reclaimed = before - frag_bits frag in
   if reclaimed > 0 then t.reclaimed <- t.reclaimed + reclaimed;
   n.id
-
-let join ?label t a b frag = merge ?label ~via:Join t a b frag
-
-let retire ?label t ~survivor retiree frag =
-  merge ?label ~via:Retire t survivor retiree frag
 
 let refresh t id frag =
   let n = live_node t id in
@@ -411,9 +401,7 @@ let audit t = audit_fragments (live_inventory t)
 
 let stats t = stats_of_fragments (live_inventory t)
 
-let seeds t = t.n_seeds
 let forks t = t.n_forks
-let joins t = t.n_joins
 let retires t = t.n_retires
 let refreshes t = t.n_refreshes
 let reclaimed_bits t = t.reclaimed
@@ -495,7 +483,7 @@ let ops_json t =
     [
       ("seeds", Jsonx.Int t.n_seeds);
       ("forks", Jsonx.Int t.n_forks);
-      ("joins", Jsonx.Int t.n_joins);
+      ("joins", Jsonx.Int 0);
       ("retires", Jsonx.Int t.n_retires);
       ("refreshes", Jsonx.Int t.n_refreshes);
       ("reclaimed_bits", Jsonx.Int t.reclaimed);
@@ -561,11 +549,10 @@ let publish ?(registry = Registry.default) t =
   in
   delta 0 t.n_seeds (op_name "seed");
   delta 1 t.n_forks (op_name "fork");
-  delta 2 t.n_joins (op_name "join");
-  delta 3 t.n_retires (op_name "retire");
-  delta 4 t.n_refreshes (op_name "refresh");
-  delta 5 t.reclaimed "vstamp_idspace_reclaimed_bits_total";
-  delta 6 t.forked_bits "vstamp_idspace_fork_bits_total"
+  delta 2 t.n_retires (op_name "retire");
+  delta 3 t.n_refreshes (op_name "refresh");
+  delta 4 t.reclaimed "vstamp_idspace_reclaimed_bits_total";
+  delta 5 t.forked_bits "vstamp_idspace_fork_bits_total"
 
 let view_json registry =
   let gauges = ref [] in

@@ -10,7 +10,7 @@
     partition-of-unity property with positional witnesses, computes
     fragmentation analytics (width/depth distributions, fragmentation
     entropy, reduce-effectiveness against an oracle minimum), and
-    keeps a genealogy DAG of fork/join/retire lineage with DOT and
+    keeps a genealogy DAG of fork/retire lineage with DOT and
     JSON export.
 
     Like the rest of [vstamp.obs] the module is core-free: fragments
@@ -86,7 +86,7 @@ val stats_of_fragments : (string * fragment) list -> stats
 
     A mutable inventory tracking the live population and its lineage.
     Nodes are replica incarnations; [fork] consumes one node and
-    yields two, [join]/[retire] consume two and yield one, [refresh]
+    yields two, [retire] consumes two and yields one, [refresh]
     updates a live node's fragment in place (the join-then-fork of an
     ordinary sync, which changes ids without changing the population).
     All operations are O(1) amortised except audits/stats, which walk
@@ -97,6 +97,7 @@ type t
 type node_id = int
 
 type via = Seed | Fork | Join | Retire
+(** No operation records [Join]; it stays a name in the export formats. *)
 
 type node = {
   id : node_id;
@@ -126,16 +127,12 @@ val fork :
     in {!fork_bits}.  @raise Invalid_argument if the parent is not
     live. *)
 
-val join : ?label:string -> t -> node_id -> node_id -> fragment -> node_id
-(** Consume two live nodes, yield one live [Join] child holding
-    [fragment]; {!retire} records a retirement instead.  Digits reclaimed
-    ([bits a + bits b - bits child], when positive) accumulate in
-    {!reclaimed_bits}.  @raise Invalid_argument unless both parents
-    are live and distinct. *)
-
 val retire : ?label:string -> t -> survivor:node_id -> node_id -> fragment -> node_id
-(** {!join} recorded as [Retire]: [retiree] is retired into
-    [survivor]. *)
+(** Consume two live nodes, yield one live [Retire] child holding
+    [fragment]: [retiree] is retired into [survivor].  Digits reclaimed
+    ([bits survivor + bits retiree - bits child], when positive)
+    accumulate in {!reclaimed_bits}.  @raise Invalid_argument unless
+    both parents are live and distinct. *)
 
 val refresh : t -> node_id -> fragment -> unit
 (** Replace a live node's fragment in place (no genealogy node).
@@ -159,19 +156,14 @@ val audit : t -> audit
 
 val stats : t -> stats
 
-val seeds : t -> int
-
 val forks : t -> int
-
-val joins : t -> int
-(** [Join]-via joins only; retirements count in {!retires}. *)
 
 val retires : t -> int
 
 val refreshes : t -> int
 
 val reclaimed_bits : t -> int
-(** Cumulative id digits reclaimed by joins, retires and refreshes. *)
+(** Cumulative id digits reclaimed by retires and refreshes. *)
 
 val fork_bits : t -> int
 (** Cumulative id digits added by forks. *)

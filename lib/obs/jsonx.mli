@@ -27,8 +27,6 @@ val of_string : string -> (t, string) result
 (** Strict parse of exactly one JSON value (surrounding whitespace
     allowed); the error is a human-readable message with an offset. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Accessors} *)
 
 val member : string -> t -> t option

@@ -14,6 +14,8 @@ let count x = x.c
 
 let reset_counter x = x.c <- 0
 
+let increase ~prev v = if v < prev then (v, true) else (v -. prev, false)
+
 (* --- gauges --- *)
 
 type gauge = { mutable g : float }

@@ -23,6 +23,13 @@ val count : counter -> int
 
 val reset_counter : counter -> unit
 
+val increase : prev:float -> float -> float * bool
+(** [increase ~prev v]: how much a monotone value (a counter, a
+    histogram's count) grew from [prev] to [v], and whether it went
+    backwards.  Going backwards means the process or registry
+    restarted, so the whole of [v] is the increase (the Prometheus
+    [rate()] rule). *)
+
 (** {1 Gauges} *)
 
 type gauge

@@ -66,10 +66,6 @@ let create ?(registry = Registry.default) ?sink ?(sampling = Always) ?sample
     first = None;
   }
 
-let name t = t.name
-
-let sampling t = t.sampling
-
 let elects t =
   match t.sampling with
   | Always -> true

@@ -56,10 +56,6 @@ val create :
     @raise Invalid_argument on [Every_n n] with [n <= 0] or
     [Probability p] outside [[0, 1]]. *)
 
-val name : t -> string
-
-val sampling : t -> sampling
-
 val check : t -> ?force:bool -> step:int -> (unit -> (string * Jsonx.t) list) -> bool
 (** Offer the check at the given logical step.  If the sampling policy
     elects to skip it (never when [force] is [true], which callers use

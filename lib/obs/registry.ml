@@ -267,12 +267,11 @@ let diff ~elapsed_s ~prev cur =
             | Some (k, p) when k = kind -> p
             | _ -> 0.0
           in
-          (* Counters and histogram counts are monotone; going
-             backwards means the process (or registry) restarted, so
-             the whole current value is the increase since then.
-             Gauges move freely and never "reset". *)
-          let reset = kind <> Kgauge && value < previous in
-          let change = if reset then value else value -. previous in
+          (* Gauges move freely and never "reset". *)
+          let change, reset =
+            if kind = Kgauge then (value -. previous, false)
+            else Metric.increase ~prev:previous value
+          in
           let rate = if elapsed_s <= 0.0 then 0.0 else change /. elapsed_s in
           Some { name; kind; value; change; rate; reset })
     (fields cur)

@@ -292,19 +292,19 @@ let with_span ?stamp ?domain ?attrs name f =
    wire header its peer sent and the new span becomes a child of the
    remote span, continuing the remote trace.  An unparseable header
    degrades to a local span rather than dropping instrumentation. *)
-let with_remote_span ~header ?stamp ?domain ?(attrs = []) name f =
+let with_remote_span ~header ?(attrs = []) name f =
   match !tracer with
   | None -> f ()
   | Some t -> (
       match of_header header with
       | Ok remote ->
           let attrs = attrs @ [ ("peer", Jsonx.String remote.node) ] in
-          run_span t ~parent:remote ?stamp ?domain ~attrs name f
+          run_span t ~parent:remote ~attrs name f
       | Error _ ->
           let parent =
             match !stack with fr :: _ -> fr.f_ctx | [] -> t.t_root
           in
-          run_span t ~parent ?stamp ?domain ~attrs name f)
+          run_span t ~parent ~attrs name f)
 
 let annotate fields =
   match !stack with

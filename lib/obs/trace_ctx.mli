@@ -114,8 +114,6 @@ val with_span :
 
 val with_remote_span :
   header:string ->
-  ?stamp:string ->
-  ?domain:string ->
   ?attrs:(string * Jsonx.t) list ->
   string ->
   (unit -> 'a) ->

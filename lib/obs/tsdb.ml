@@ -40,7 +40,6 @@ type series = {
   kind : kind;
   tiers : tier array;
   mutable prev : float;  (* last cumulative value seen (counter kinds) *)
-  mutable has_prev : bool;
 }
 
 type t = {
@@ -170,7 +169,6 @@ let get_series t ~kind name =
             kind;
             tiers = Array.init t.n_tiers (fun _ -> make_tier t.capacity);
             prev = 0.;
-            has_prev = false;
           }
         in
         Hashtbl.add t.tbl name s;
@@ -185,18 +183,11 @@ let observe_locked t ~now_s ~kind name v =
         match s.kind with
         | Gauge -> v
         | Counter | Histogram ->
-            (* Store the increase since the previous cumulative value;
-               a value going backwards is a reset, count the whole new
-               value as increase (Prometheus rate() convention).  The
-               first observation counts as an increase from zero,
-               matching Registry.diff. *)
-            let d =
-              if not s.has_prev then v
-              else if v < s.prev then v
-              else v -. s.prev
-            in
+            (* Store the increase since the previous cumulative value
+               (a reset counts whole).  The first observation counts as
+               an increase from zero, matching Registry.diff. *)
+            let d, _ = Metric.increase ~prev:s.prev v in
             s.prev <- v;
-            s.has_prev <- true;
             d
       in
       push t s 0

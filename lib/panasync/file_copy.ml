@@ -41,8 +41,6 @@ let edit c ~content =
   if String.equal content c.content then c
   else { c with content; stamp = Stamp.update c.stamp }
 
-let touch c = { c with stamp = Stamp.update c.stamp }
-
 let replicate c =
   let left, right = Stamp.fork c.stamp in
   ({ c with stamp = left }, { c with stamp = right })

@@ -48,9 +48,6 @@ val edit : t -> content:string -> t
 (** Replace content, recording an update.  Editing to identical content
     is a no-op. *)
 
-val touch : t -> t
-(** Record an update without changing content. *)
-
 val replicate : t -> t * t
 (** Fork: the copy and its new replica, distinguishable forever after —
     created without any coordination. *)

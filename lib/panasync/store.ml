@@ -6,8 +6,6 @@ type t = { name : string; files : File_copy.t Smap.t }
 
 let create ~name = { name; files = Smap.empty }
 
-let name s = s.name
-
 let paths s = List.map fst (Smap.bindings s.files)
 
 let find s path = Smap.find_opt path s.files

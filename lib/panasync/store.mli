@@ -13,8 +13,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val paths : t -> string list
 (** Sorted logical paths present in this store. *)
 

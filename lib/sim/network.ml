@@ -200,7 +200,4 @@ let frontier t =
   Array.to_list t.nodes
   |> List.filter_map (function Idle (s, _) -> Some s | Waiting -> None)
 
-let total_bits t =
-  List.fold_left (fun acc s -> acc + Stamp.size_bits s) 0 (frontier t)
-
 let stats t = (t.updates, t.syncs_started, t.delivered)

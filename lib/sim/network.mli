@@ -72,7 +72,5 @@ val consistent_with_oracle : t -> bool
 val frontier : t -> Vstamp_core.Stamp.t list
 (** Stamps of the idle nodes. *)
 
-val total_bits : t -> int
-
 val stats : t -> int * int * int
 (** [(updates, syncs started, messages delivered)]. *)

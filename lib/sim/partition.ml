@@ -46,10 +46,3 @@ let round_robin ~groups n =
 let merge_all t = List.map (fun _ -> 0) t
 
 let group_count t = List.length (List.sort_uniq compare t)
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ';')
-       Format.pp_print_int)
-    t

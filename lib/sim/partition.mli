@@ -41,5 +41,3 @@ val merge_all : t -> t
 (** Heal: everyone into group 0. *)
 
 val group_count : t -> int
-
-val pp : Format.formatter -> t -> unit

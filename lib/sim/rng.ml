@@ -20,10 +20,6 @@ let int t bound =
   (* keep 62 bits so the value fits OCaml's native int non-negatively *)
   (Int64.to_int (Int64.shift_right_logical raw 2) mod bound, t)
 
-let bool t =
-  let raw, t = next t in
-  (Int64.logand raw 1L = 1L, t)
-
 let float t =
   let raw, t = next t in
   (Int64.to_float (Int64.shift_right_logical raw 11) /. 9007199254740992.0, t)

@@ -10,14 +10,9 @@ type t
 val make : int -> t
 (** Seeded generator. *)
 
-val next : t -> int64 * t
-(** Raw 64-bit draw. *)
-
 val int : t -> int -> int * t
 (** [int t bound] draws uniformly from [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
-
-val bool : t -> bool * t
 
 val float : t -> float * t
 (** Uniform in [0, 1). *)

@@ -6,8 +6,6 @@ let make ?(seed = 0) ?(epoch = 8) ~severity () =
   if epoch < 1 then invalid_arg "Weather.make: epoch must be >= 1";
   { seed; epoch; severity }
 
-let severity t = t.severity
-
 let groups_at t ~step ~n =
   if n <= 0 then [||]
   else begin

@@ -23,8 +23,6 @@ val make : ?seed:int -> ?epoch:int -> severity:float -> unit -> t
     @raise Invalid_argument if [severity] is outside [[0, 1]] or
     [epoch < 1]. *)
 
-val severity : t -> float
-
 val groups_at : t -> step:int -> n:int -> int array
 (** The group label of each of [n] replicas during the epoch containing
     [step].  Labels are arbitrary ints; equality means connectivity. *)

@@ -56,9 +56,6 @@ val sync : 'a t -> 'a t -> 'a t
 (** Anti-entropy: a sibling survives iff the other side also stores it
     or has never seen its dot.  Commutative and idempotent. *)
 
-val covered : dot -> Version_vector.t -> bool
-(** [covered d vv] iff [vv] includes the event [d]. *)
-
 val well_formed : 'a t -> bool
 (** Sibling dots are distinct and covered by the context. *)
 

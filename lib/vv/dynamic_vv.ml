@@ -76,5 +76,3 @@ let size_bits r =
 
 let pp ppf r =
   Format.fprintf ppf "r%d%a" r.self Version_vector.pp (effective r)
-
-let to_string r = Format.asprintf "%a" pp r

@@ -70,5 +70,3 @@ val size_bits : t -> int
 (** Wire-size estimate, comparable with {!Vstamp_core.Stamp.size_bits}. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -48,8 +48,6 @@ let collisions t = t.collisions
 
 let failures t = t.failures
 
-let policy t = t.policy
-
 let pp_policy ppf = function
   | Central -> Format.pp_print_string ppf "central"
   | Partitioned { server_group } ->

@@ -41,6 +41,4 @@ val collisions : t -> int
 val failures : t -> int
 (** Refused allocations (only [Partitioned] can be non-zero). *)
 
-val policy : t -> policy
-
 val pp_policy : Format.formatter -> policy -> unit

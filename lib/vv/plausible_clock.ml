@@ -36,8 +36,6 @@ let leq a b =
   Array.iteri (fun i c -> if c > b.entries.(i) then ok := false) a.entries;
   !ok
 
-let equal a b = a.entries = b.entries
-
 let relation a b = Relation.of_leq_pair ~leq_ab:(leq a b) ~leq_ba:(leq b a)
 
 let size_bits t =
@@ -51,5 +49,3 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
        Format.pp_print_int)
     (Array.to_list t.entries)
-
-let to_string t = Format.asprintf "%a" pp t

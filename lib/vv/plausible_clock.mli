@@ -35,8 +35,6 @@ val leq : t -> t -> bool
 (** Pointwise comparison — the plausible order.
     @raise Invalid_argument on size mismatch. *)
 
-val equal : t -> t -> bool
-
 val relation : t -> t -> Vstamp_core.Relation.t
 (** May answer [Equal]/[Dominated]/[Dominates] for truly concurrent
     histories; never answers [Concurrent] for ordered ones. *)
@@ -45,5 +43,3 @@ val size_bits : t -> int
 (** Wire-size estimate (no ids on the wire — the vector is positional). *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

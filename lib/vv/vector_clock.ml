@@ -4,8 +4,6 @@ type t = { self : Version_vector.id; clock : Version_vector.t }
 
 let create ~id = { self = id; clock = Version_vector.zero }
 
-let id t = t.self
-
 let clock t = t.clock
 
 let tick t = { t with clock = Version_vector.increment t.clock t.self }
@@ -24,7 +22,3 @@ let happened_before a b = leq a b && not (Version_vector.equal a b)
 let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let relation a b = Relation.of_leq_pair ~leq_ab:(leq a b) ~leq_ba:(leq b a)
-
-let pp ppf t = Format.fprintf ppf "p%d%a" t.self Version_vector.pp t.clock
-
-let to_string t = Format.asprintf "%a" pp t

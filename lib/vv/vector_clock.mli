@@ -14,8 +14,6 @@ type t
 val create : id:Version_vector.id -> t
 (** A process with an externally allocated unique id. *)
 
-val id : t -> Version_vector.id
-
 val clock : t -> Version_vector.t
 (** Current clock value — the timestamp of the latest local event. *)
 
@@ -28,16 +26,9 @@ val send : t -> t * Version_vector.t
 val receive : t -> Version_vector.t -> t
 (** Receive event: merge the message timestamp, then tick. *)
 
-val leq : Version_vector.t -> Version_vector.t -> bool
-(** Timestamp comparison. *)
-
 val happened_before : Version_vector.t -> Version_vector.t -> bool
 (** Strict causal precedence of events. *)
 
 val concurrent : Version_vector.t -> Version_vector.t -> bool
 
 val relation : Version_vector.t -> Version_vector.t -> Vstamp_core.Relation.t
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

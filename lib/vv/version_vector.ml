@@ -38,8 +38,6 @@ let size_bits t =
 
 let equal = Imap.equal Int.equal
 
-let compare = Imap.compare Int.compare
-
 let leq a b = Imap.for_all (fun id c -> c <= get b id) a
 
 let relation a b = Relation.of_leq_pair ~leq_ab:(leq a b) ~leq_ba:(leq b a)

@@ -45,9 +45,6 @@ val size_bits : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-(** Total order for containers. *)
-
 val leq : t -> t -> bool
 (** Pointwise comparison — causal domination. *)
 

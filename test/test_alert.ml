@@ -182,7 +182,21 @@ let test_rate_rule () =
     (state_of t "fast" = Alert.Firing);
   Alert.eval ~now_s:10. t;
   check_bool "resolves when the counter stalls" true
-    (state_of t "fast" = Alert.Inactive)
+    (state_of t "fast" = Alert.Inactive);
+  (* a restart: the counter falls back to 0, then counts 6 ops in 3 s,
+     and the whole new value is the increase *)
+  Metric.reset_counter c;
+  Metric.add c 6;
+  Alert.eval ~now_s:13. t;
+  let rate =
+    match Jsonx.member "rules" (Alert.to_json t) with
+    | Some (Jsonx.List [ r ]) ->
+        Option.bind (Jsonx.member "value" r) Jsonx.to_float
+    | _ -> None
+  in
+  check_bool "rate across a counter reset" true (rate = Some 2.);
+  check_bool "fires across a counter reset" true
+    (state_of t "fast" = Alert.Firing)
 
 let test_absent_rule () =
   let registry = Registry.create () in
